@@ -5,11 +5,12 @@ residual from :mod:`quasikp.quasi1d`.  The residual is smooth except at
 transverse thresholds E = 1 + 2n, at poles of the propagating lattice sum
 (where some open channel has cos(k_n L) = cos(theta)), and, for energy
 dependent models, where a(E) crosses zero.  The search window is split at
-all of those points, each piece is scanned densely, and every sign change
-is bisected.  Node states sin(K z) with K L = 2 pi j +/- theta vanish on
-every impurity and are eigenstates at any coupling, but they sit exactly
-on lattice-sum poles where the residual cannot see them: at theta = 0 and
-theta = pi they are injected by hand.
+all of those points, each piece is scanned densely in one vectorised
+residual call (grid points on a pole come back NaN and are dropped), and
+every sign change is bisected.  Node states sin(K z) with
+K L = 2 pi j +/- theta vanish on every impurity and are eigenstates at any
+coupling, but they sit exactly on lattice-sum poles where the residual
+cannot see them: at theta = 0 and theta = pi they are injected by hand.
 """
 
 from __future__ import annotations
@@ -174,21 +175,23 @@ def _free_levels_at_theta(theta: float, L: float, e_min: float,
 
 
 def _residual_curve(es: np.ndarray, theta: float, config: ModelConfig):
-    """Residual on a grid; points that sit on a pole are dropped."""
-    try:
-        fs = np.asarray(dispersion_residual(es, theta, config), dtype=float)
-    except PoleError:
-        fs = np.empty_like(es)
-        for i, e in enumerate(es):
-            try:
-                fs[i] = dispersion_residual(float(e), theta, config)
-            except PoleError:
-                fs[i] = math.nan
+    """Residual on a grid in one vectorised call; pole points are dropped.
+
+    The residual is NaN where the grid touches a lattice-sum pole and
+    infinite where an energy-dependent a(E) crosses zero; only the finite
+    points are kept.
+    """
+    fs = np.asarray(dispersion_residual(es, theta, config), dtype=float)
     keep = np.isfinite(fs)
     return es[keep], fs[keep]
 
 
 def _bisect_many(f_vec, lo, hi, flo) -> np.ndarray:
+    """Bisect every bracket [lo, hi] at once; f_vec takes an energy array.
+
+    Raises PoleError if a midpoint lands on a lattice-sum pole (f_vec gives
+    NaN there), so a bracket is never given up silently.
+    """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     flo = np.array(flo, dtype=float)
@@ -200,6 +203,12 @@ def _bisect_many(f_vec, lo, hi, flo) -> np.ndarray:
             break
         idx = np.nonzero(active)[0]
         fm = np.asarray(f_vec(mid[idx]), dtype=float)
+        if np.isnan(fm).any():
+            e_bad = float(mid[idx][np.isnan(fm)][0])
+            raise PoleError(
+                f"bisection midpoint E={e_bad!r} fell on a lattice-sum pole",
+                channel=None,
+            )
         to_lo = (fm > 0.0) == (flo[idx] > 0.0)
         lo[idx[to_lo]] = mid[idx[to_lo]]
         flo[idx[to_lo]] = fm[to_lo]

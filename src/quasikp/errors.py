@@ -36,9 +36,13 @@ class ThresholdError(QuasiKpError):
 
 
 class PoleError(QuasiKpError):
-    """Open-channel lattice sum evaluated at one of its poles."""
+    """Open-channel lattice sum evaluated at one of its poles.
 
-    def __init__(self, message: str, channel: int):
+    ``channel`` is the open channel whose pole was hit, or None when the
+    caller only saw the NaN the vectorised sum returns there.
+    """
+
+    def __init__(self, message: str, channel: int | None):
         self.channel = channel
         super().__init__(message)
 

@@ -117,8 +117,11 @@ def lambda_p(E, theta: float, L: float):
     """Open-channel lattice sum; scalar theta, scalar or ndarray E.
 
     Sum over open channels of sin(k_n L) / (2 k_n L (cos theta - cos k_n L)).
-    Empty (zero) below the lowest threshold.  Raises PoleError within
-    TOL_POLE of cos(theta) = cos(k_n L), where a free lattice band passes.
+    Empty (zero) below the lowest threshold.  A pole sits where a free
+    lattice band passes, k_n L = +/-theta (mod 2 pi); a point lies on it
+    when min |sin((k_n L +/- theta)/2)| < TOL_POLE/2, i.e. within about
+    TOL_POLE in phase.  An ndarray E gives NaN at such points; a scalar E
+    raises PoleError naming the channel.
     """
     arr = np.asarray(E, dtype=float)
     n_star, _ = _branch_offsets(arr)
@@ -126,21 +129,27 @@ def lambda_p(E, theta: float, L: float):
         raise DomainError("theta must be finite and L positive")
     out = np.zeros(arr.shape)
     n_top = int(n_star.max()) if arr.size else -1
-    cos_t = math.cos(theta)
-    for n in range(0, n_top + 1):
-        mask = n_star >= n
-        kn = 2.0 * np.sqrt(np.maximum((arr - 1.0) / 2.0 - n, 0.0))
-        knL = kn * L
-        denom = cos_t - np.cos(knL)
-        if np.any(mask & (np.abs(denom) < TOL_POLE)):
-            raise PoleError(
-                f"open-channel pole cos(theta) = cos(k_n L) in channel n={n}",
-                channel=n,
-            )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            term = 0.5 * np.sinc(knL / np.pi) / denom
-        out = np.where(mask, out + term, out)
-    return float(out) if np.asarray(E).ndim == 0 else out
+    half_t = 0.5 * theta
+    # closed channels and pole points give inf/NaN terms: `mask` drops the
+    # former, the latter leave NaN in `out`
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for n in range(0, n_top + 1):
+            mask = n_star >= n
+            kn = 2.0 * np.sqrt(np.maximum((arr - 1.0) / 2.0 - n, 0.0))
+            knL = kn * L
+            # cos(theta) - cos(k_n L), factored so its zeros stay linear in phase
+            s_plus = np.sin(0.5 * knL + half_t)
+            s_minus = np.sin(0.5 * knL - half_t)
+            hit = mask & (np.minimum(np.abs(s_plus), np.abs(s_minus))
+                          < 0.5 * TOL_POLE)
+            if arr.ndim == 0 and hit:
+                raise PoleError(
+                    f"open-channel pole cos(theta) = cos(k_n L) in channel n={n}",
+                    channel=n,
+                )
+            term = 0.25 * np.sinc(knL / np.pi) / (s_plus * s_minus)
+            out = np.where(mask, out + np.where(hit, math.nan, term), out)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _re_geometric(t, cos_t):
@@ -340,8 +349,9 @@ def a1d_of_e(E, model: ScatteringModel):
 def dispersion_residual(E, theta: float, config):
     """Residual a1d(E) + 2L (Lambda_p + Lambda_e); zero at Bloch eigenenergies.
 
-    Scalar theta, scalar or ndarray E.  Pole and threshold errors from the
-    lattice sums propagate so callers can partition their search windows.
+    Scalar theta, scalar or ndarray E.  Pole points are NaN for ndarray E
+    and raise PoleError for scalar E (see :func:`lambda_p`); threshold
+    errors propagate so callers can partition their search windows.
     """
     L = config.lattice_spacing
     lam = lambda_p(E, theta, L) + lambda_e(E, theta, L)

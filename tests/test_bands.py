@@ -1,6 +1,7 @@
 """Band solving, continuity tracking, edges, and effective-mass fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from quasikp import (
     FitRankError,
     Kp1dParams,
     ModelConfig,
+    PoleError,
     a1d_of_e,
     band_edges_vs_a,
     band_energies_at_theta,
@@ -25,7 +27,9 @@ from quasikp import (
     validate,
     write_band_table,
 )
+from quasikp import bands as bands_mod
 from quasikp.atomion import ScatteringLengthTable, invert_a_of_b
+from quasikp.bands import _bisect_many
 
 
 def _config(a, L, **kw):
@@ -194,6 +198,39 @@ class TestSolveBands:
         pts = band.points()
         assert len(pts) == 21
         assert pts[0] == (0.0, band.energies[0])
+
+
+class TestPoleMasking:
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_edges_raise_no_runtime_warning(self, theta):
+        # the window crosses 22 thresholds and holds dozens of double poles
+        cfg = _config(0.5, 1.0, energy_window=(0.5, 45.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = band_energies_at_theta(theta, cfg)
+        assert roots.size > 20
+
+    def test_edge_sweep_makes_no_scalar_residual_call(self, monkeypatch):
+        ndims = []
+        real = bands_mod.dispersion_residual
+
+        def counting(E, theta, config):
+            ndims.append(np.ndim(E))
+            return real(E, theta, config)
+
+        monkeypatch.setattr(bands_mod, "dispersion_residual", counting)
+        rows = band_edges_vs_a([0.5], 1.0, n_bands=3)
+        assert all(math.isfinite(r.e_theta0) and math.isfinite(r.e_thetapi)
+                   for r in rows)
+        assert ndims
+        assert 0 not in ndims
+
+    def test_bisection_nan_midpoint_raises(self):
+        def f_vec(es):
+            return np.where(np.abs(es - 0.5) < 1e-3, math.nan, es - 0.7)
+
+        with pytest.raises(PoleError):
+            _bisect_many(f_vec, [0.0], [1.0], [-0.7])
 
 
 class TestLatticeSumPoles:

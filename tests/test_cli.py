@@ -183,6 +183,19 @@ class TestBands:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_spacing_near_pi_has_no_nan_point(self, tmp_path):
+        # at L within ~1e-5 of pi the theta = 0 node level 1 + 2 (pi/L)^2
+        # sits 1.6e-5 below the threshold E = 3, with a band root between
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", "--models", "constant-a", "kp1d-reduced",
+                   "--n-bands", "4", "--theta-points", "21",
+                   "--energy-max", "7", "--L", "3.141605475438004",
+                   "--a", "0.9874678801396116", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 4 * 21
+        assert all(math.isfinite(float(r[3])) for r in rows)
+
     def test_unknown_model_tag_via_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"models": ["bogus"]}), encoding="utf-8")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasikp import (
     ConstantScatteringLength,
@@ -22,6 +24,7 @@ from quasikp import (
     lambda_e_h_approx,
     lambda_e_series_approx,
     lambda_p,
+    lattice_sum_pole_energies,
     olshanii_constant,
     single_impurity_bound_energy,
     validate,
@@ -122,6 +125,15 @@ class TestLambdaP:
         with pytest.raises(PoleError) as exc:
             lambda_p(E, math.pi / 3.0, L)
         assert "n=0" in str(exc.value)
+
+    def test_double_pole_masked_only_within_phase_tolerance(self):
+        # at theta = 0 the pole k_0 L = 2 pi is double in cos(theta) - cos(k_0 L);
+        # the mask follows the phase distance, so a point 1e-8 away survives
+        L = 2.0
+        E_pole = 1.0 + 0.5 * (2.0 * math.pi / L) ** 2
+        got = lambda_p(np.array([E_pole, E_pole + 1e-8]), 0.0, L)
+        assert math.isnan(got[0])
+        assert math.isfinite(got[1])
 
     def test_parity_and_periodicity(self):
         E, L = 2.3, 1.7
@@ -233,6 +245,50 @@ class TestDispersionResidual:
         vec = dispersion_residual(es, 0.5, cfg)
         for e, v in zip(es, vec):
             assert v == pytest.approx(dispersion_residual(float(e), 0.5, cfg), rel=1e-13)
+
+    @given(
+        es=st.lists(st.floats(min_value=-2.0, max_value=12.0), min_size=1,
+                    max_size=12),
+        theta=st.one_of(st.sampled_from([0.0, math.pi]),
+                        st.floats(min_value=0.0, max_value=math.pi)),
+        L=st.floats(min_value=0.5, max_value=6.0),
+        a=st.sampled_from([-1.0, 0.3, 2.0]),
+        pole_picks=st.lists(st.integers(min_value=0, max_value=10**6),
+                            max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_array_nan_exactly_where_scalar_raises(self, es, theta, L, a,
+                                                   pole_picks):
+        poles = lattice_sum_pole_energies(theta, L, -2.0, 12.0)
+        on_poles = [poles[i % len(poles)] for i in pole_picks] if poles else []
+        # keep clear of the ThresholdError band just below E = 1 + 2n
+        gaps = [1.0 + 2.0 * math.ceil((e - 1.0) / 2.0) - e for e in es + on_poles]
+        energies = [e for e, gap in zip(es + on_poles, gaps)
+                    if gap == 0.0 or gap > 1e-6]
+        if not energies:
+            return
+        cfg = _config(a, L)
+        vec = dispersion_residual(np.array(energies), theta, cfg)
+        for e, v in zip(energies, vec):
+            try:
+                ref = dispersion_residual(e, theta, cfg)
+            except PoleError:
+                assert math.isnan(v), f"E={e!r} raises as a scalar, array gave {v}"
+                continue
+            # lambda_e stops summing when every point of its batch has
+            # converged, so a batch can add terms below rel_tol that the lone
+            # point skips; near a threshold the residual is a difference of
+            # terms ~30x its size, so the bound is relative to those terms
+            terms = (abs(a1d_of_e(e, cfg.scattering))
+                     + 2.0 * L * (abs(lambda_p(e, theta, L))
+                                  + abs(lambda_e(e, theta, L))))
+            assert v == pytest.approx(ref, rel=1e-12, abs=1e-12 * terms), f"E={e!r}"
+        # a pole energy a hair above its threshold does not resolve k_n L to
+        # TOL_POLE once rounded; every other one must be caught by the mask
+        for e in on_poles:
+            if e - (1.0 + 2.0 * math.floor((e - 1.0) / 2.0)) > 1e-6:
+                with pytest.raises(PoleError):
+                    dispersion_residual(e, theta, cfg)
 
 
 class TestA1dEff:
