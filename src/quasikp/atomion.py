@@ -6,8 +6,10 @@ scattering length and the number of two-body bound states; new states
 enter at b_n = 1/sqrt(4 n^2 - 1) where a(b) has a pole.
 
 The s-wave radial equation u'' + (k^2 - V) u = 0 is integrated with the
-Numerov three-term recurrence and matched to free sinusoids a quarter
-wavelength apart, giving the phase shift delta0(k).  Tabulated phase
+Numerov three-term recurrence, solved for the whole grid at once as one
+banded lower-triangular system (LAPACK dtbtrs), which is the same forward
+march done in compiled code.  The solution is matched to free sinusoids a
+quarter wavelength apart, giving the phase shift delta0(k).  Tabulated phase
 shifts feed the energy-dependent scattering model of the waveguide
 dispersion through a(E) = -tan(delta0)/k.
 """
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg.lapack import dtbtrs
 
 from ._concurrency import thread_map
 from .errors import (
@@ -125,20 +128,37 @@ def invert_a_of_b(a_target: float, n_bound: int = 1) -> float:
 
 
 def _numerov_integrate(g: np.ndarray, h: float) -> np.ndarray:
-    """March u'' + g u = 0 from u(0) = 0, u(h) = h across the whole grid."""
+    """Solve u'' + g u = 0 from u(0) = 0, u(h) = h across the whole grid.
+
+    The Numerov three-term recurrence
+    t[n+1] u[n+1] - a[n] u[n] + t[n-1] u[n-1] = 0, with w = h^2 g / 12,
+    t = 1 + w and a = 2 - 10 w, is a lower-triangular banded system of
+    bandwidth 2 in the unknowns u[2:].  One LAPACK banded triangular
+    solve is the forward substitution that marches the recurrence step by
+    step, in compiled code; the two agree up to rounding.  A zero on the
+    diagonal t[2:] raises GridError.
+    """
     w = (h * h / 12.0) * g
-    t = (1.0 + w).tolist()
-    a = (2.0 - 10.0 * w).tolist()
-    us = [0.0, h]
-    append = us.append
-    u_prev = 0.0
-    u_cur = h
-    for i in range(1, len(t) - 1):
-        u_next = (a[i] * u_cur - t[i - 1] * u_prev) / t[i + 1]
-        append(u_next)
-        u_prev = u_cur
-        u_cur = u_next
-    return np.asarray(us)
+    t = 1.0 + w
+    a = 2.0 - 10.0 * w
+    m = t.size - 2
+    if m < 1:
+        return np.array([0.0, h])
+    # Fortran order: LAPACK reads the band column by column
+    ab = np.empty((3, m), order="F")
+    ab[0] = t[2:]
+    ab[1] = -a[2:]
+    ab[2] = t[2:]
+    rhs = np.zeros((m, 1))
+    rhs[0, 0] = a[1] * h
+    if m > 1:
+        rhs[1, 0] = -t[1] * h
+    x, info = dtbtrs(ab, rhs, uplo="L", overwrite_b=1)
+    if info != 0:
+        raise GridError(
+            f"singular Numerov march (LAPACK info {info}): t = 1 + h^2 g / 12 is 0"
+        )
+    return np.concatenate(([0.0, h], x[:, 0]))
 
 
 def _default_step(b: float, k: float) -> float:
@@ -258,6 +278,11 @@ def count_transition_b(lo: float, hi: float, *, k: float = 0.0) -> float:
     return 0.5 * (lo + hi)
 
 
+def _phase_shifts(b: float, ks, numerov_kw: dict) -> list[float]:
+    """numerov_delta0 at every momentum of ks, mapped over the thread pool."""
+    return thread_map(lambda k: numerov_delta0(float(k), b, **numerov_kw), ks)
+
+
 def a_from_delta(k: float, delta: float) -> float:
     """Energy-dependent scattering length a(k) = -tan(delta0)/k."""
     return -math.tan(delta) / k
@@ -332,8 +357,7 @@ class ScatteringLengthTable:
         if not 0.0 < e_min < e_max:
             raise DomainError("need 0 < e_min < e_max")
         ks = np.linspace(math.sqrt(e_min), math.sqrt(e_max), n)
-        deltas = thread_map(lambda k: numerov_delta0(float(k), b, **numerov_kw), ks)
-        return cls(b, ks * ks, deltas)
+        return cls(b, ks * ks, _phase_shifts(b, ks, numerov_kw))
 
     @property
     def e_min(self) -> float:
@@ -434,9 +458,7 @@ def a_of_e_table(b: float, energies=None, *, e_min: float = 0.01,
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or np.any(e <= 0.0):
         raise DomainError("energies must be a 1D positive array")
-    ks = np.sqrt(e)
-    deltas = thread_map(lambda k: numerov_delta0(float(k), b, **numerov_kw), ks)
-    return ScatteringLengthTable(b, e, deltas)
+    return ScatteringLengthTable(b, e, _phase_shifts(b, np.sqrt(e), numerov_kw))
 
 
 def find_resonance(table: ScatteringLengthTable, e_lo: float | None = None,

@@ -99,11 +99,22 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
             return mid
         if not math.isfinite(fm):
             raise RootError(f"non-finite residual in bracket [{lo}, {hi}]")
-        if flo * fm < 0.0:
+        # compare signs: flo * fm underflows to 0 for a subnormal residual
+        if (fm < 0.0) != (flo < 0.0):
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Indices i where vals[i] and vals[i + 1] are non-zero of opposite sign.
+
+    Multiplies signs, not values: a product of two subnormal-sized
+    residuals would underflow to zero and hide the crossing.
+    """
+    s = np.sign(vals)
+    return np.nonzero(s[:-1] * s[1:] < 0.0)[0]
 
 
 def _scan_grid(lo: float, hi: float, scan_points: int) -> np.ndarray:
@@ -139,10 +150,9 @@ def _positive_roots(params: Kp1dParams, cos_theta: float, n_intervals: int,
     for j in range(n_intervals):
         ks = _scan_grid(j * np.pi / L, (j + 1) * np.pi / L, scan_points)
         vals = kp1d_rhs(ks, params) - cos_theta
-        for i in range(len(ks) - 1):
-            if vals[i] * vals[i + 1] < 0.0:
-                roots.append(_bisect(f, float(ks[i]), float(ks[i + 1]),
-                                     float(vals[i]), float(vals[i + 1])))
+        for i in _sign_changes(vals):
+            roots.append(_bisect(f, float(ks[i]), float(ks[i + 1]),
+                                 float(vals[i]), float(vals[i + 1])))
     return roots
 
 
@@ -156,14 +166,11 @@ def _negative_roots(params: Kp1dParams, cos_theta: float,
     f = lambda kap: _scaled_negative_residual(kap, params, cos_theta)
     ks = _scan_grid(0.0, kappa_hi, scan_points)
     vals = _scaled_negative_residual(ks, params, cos_theta)
-    roots: list[float] = []
-    for i in range(len(ks) - 1):
-        if vals[i] == 0.0 and ks[i] > 0.0:
-            roots.append(float(ks[i]))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect(f, float(ks[i]), float(ks[i + 1]),
-                                 float(vals[i]), float(vals[i + 1])))
+    exact = (vals[:-1] == 0.0) & (ks[:-1] > 0.0)
+    roots = [float(k) for k in ks[:-1][exact]]
+    for i in _sign_changes(vals):
+        roots.append(_bisect(f, float(ks[i]), float(ks[i + 1]),
+                             float(vals[i]), float(vals[i + 1])))
     return roots
 
 

@@ -29,7 +29,29 @@ from quasikp import (
     threshold_b,
     write_scatlen_table,
 )
-from quasikp.atomion import _delta_on_grid, _wrap_half_pi
+from quasikp import atomion
+from quasikp.atomion import (
+    _default_step,
+    _delta_on_grid,
+    _numerov_integrate,
+    _wrap_half_pi,
+)
+
+
+def _numerov_loop(g, h):
+    """Reference: the Numerov recurrence marched one grid step at a time."""
+    w = (h * h / 12.0) * g
+    t = (1.0 + w).tolist()
+    a = (2.0 - 10.0 * w).tolist()
+    us = [0.0, h]
+    u_prev = 0.0
+    u_cur = h
+    for i in range(1, len(t) - 1):
+        u_next = (a[i] * u_cur - t[i - 1] * u_prev) / t[i + 1]
+        us.append(u_next)
+        u_prev = u_cur
+        u_cur = u_next
+    return np.asarray(us)
 
 
 class TestPotential:
@@ -148,6 +170,52 @@ class TestNumerov:
     def test_unconvergable_tolerance(self):
         with pytest.raises(GridError):
             numerov_delta0(0.5, 0.431, h=0.01, tol=1e-15)
+
+
+class TestNumerovMarch:
+    """The banded triangular solve against the step-by-step march."""
+
+    @pytest.mark.parametrize("b", (0.27, 0.35, 0.431, 0.57))
+    @pytest.mark.parametrize("k", (0.1, 0.5, 1.0))
+    def test_matches_step_by_step_march(self, b, k):
+        # the grid numerov_delta0 uses at its default step
+        h = _default_step(b, k)
+        r_max = max(50.0, 20.0 / k, (1e10 / (k * k)) ** 0.25)
+        r = np.arange(int(math.ceil(r_max / h)) + 1) * h
+        g = k * k - RegularizedPotential(b)(r)
+        u = _numerov_integrate(g, h)
+        ref = _numerov_loop(g, h)
+        assert u.shape == ref.shape
+        # the two round differently (operation order, fused multiply-add)
+        # and the neutral recurrence carries every step's rounding forward,
+        # so the bound grows with the grid: 16 N eps of max |u|
+        tol = 16.0 * g.size * np.finfo(float).eps
+        assert np.max(np.abs(u - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_shortest_grids(self, n):
+        # n = 2, 3, 4 leaves 0, 1 and 2 unknowns for the solve
+        g = np.array([-3.0, 1.5, -0.5, 2.0])[:n]
+        u = _numerov_integrate(g, 0.1)
+        ref = _numerov_loop(g, 0.1)
+        assert u.shape == (n,)
+        np.testing.assert_allclose(u, ref, rtol=1e-15, atol=0.0)
+
+    def test_zero_diagonal_raises(self):
+        # with h = 1, w = g / 12 = -1 exactly, so t = 1 + w vanishes there
+        g = np.zeros(8)
+        g[5] = -12.0
+        with pytest.raises(GridError):
+            _numerov_integrate(g, 1.0)
+
+    def test_table_phase_shifts_match_step_by_step_march(self, monkeypatch):
+        # the k range of the meff table at R* = 0.15, where grids are longest
+        kw = dict(e_min=0.01, e_max=0.5, n=60)
+        table = ScatteringLengthTable.from_potential(0.431, **kw)
+        monkeypatch.setattr(atomion, "_numerov_integrate", _numerov_loop)
+        ref = ScatteringLengthTable.from_potential(0.431, **kw)
+        diff = [_wrap_half_pi(d - r) for d, r in zip(table.deltas, ref.deltas)]
+        assert np.max(np.abs(diff)) < 1e-9
 
 
 class TestNodeCounting:

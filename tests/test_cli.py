@@ -196,6 +196,25 @@ class TestBands:
         assert len(rows) == 2 * 4 * 21
         assert all(math.isfinite(float(r[3])) for r in rows)
 
+    def test_deep_kp1d_bound_band(self, tmp_path):
+        # 1 - C a is about -0.006 here, so g1d = -1/a1d(1) is about -239;
+        # the first bisection midpoint of the bound root has a subnormal
+        # residual
+        L, a = 3.100703457240802, 0.6887199918115454
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", "--models", "constant-a", "kp1d-reduced",
+                   "--n-bands", "4", "--theta-points", "21",
+                   "--energy-max", "7", "--L", str(L), "--a", str(a),
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 4 * 21
+        g = -1.0 / a1d_of_e(1.0, ConstantScatteringLength(a))
+        bottom = [float(r[3]) for r in rows
+                  if r[0] == "kp1d-reduced" and r[2] == "0"]
+        # kappa L ~ 740: the bound band is flat at kappa = -g1d
+        np.testing.assert_allclose(bottom, 1.0 - 0.5 * g * g, rtol=1e-12)
+
     def test_unknown_model_tag_via_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"models": ["bogus"]}), encoding="utf-8")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quasikp import ConfigError, Kp1dParams, kp1d_bands, kp1d_rhs, kp1d_rhs_negative
+from quasikp.kp1d import _bisect, _sign_changes
 
 
 class TestRhs:
@@ -59,6 +60,21 @@ class TestRhsNegative:
         p = Kp1dParams(g1d=-2.0, L=1.0)
         assert kp1d_rhs_negative(0.0, p) == pytest.approx(-1.0, rel=1e-14)
         assert kp1d_rhs_negative(10.0, p) > 1.0
+
+
+class TestSignTests:
+    def test_subnormal_midpoint_residual(self):
+        # the product 1e-3 * -5e-324 underflows to -0.0, so a sign test by
+        # product would walk away from the root to the bracket end
+        def f(x):
+            return -5e-324 if x == 1.0 else 1e-3 * (1.0 - x)
+
+        root = _bisect(f, 0.0, 2.0, f(0.0), f(2.0))
+        assert root == pytest.approx(1.0, abs=1e-12)
+
+    def test_scan_sign_changes_survive_underflow(self):
+        vals = np.array([1e-200, -1e-200, 0.0, 3.0, -2.0, np.nan, 1.0])
+        assert _sign_changes(vals).tolist() == [0, 3]
 
 
 class TestBands:
