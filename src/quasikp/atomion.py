@@ -24,7 +24,6 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dtbtrs
 
-from ._concurrency import thread_map
 from .errors import (
     DomainError,
     GridError,
@@ -279,8 +278,8 @@ def count_transition_b(lo: float, hi: float, *, k: float = 0.0) -> float:
 
 
 def _phase_shifts(b: float, ks, numerov_kw: dict) -> list[float]:
-    """numerov_delta0 at every momentum of ks, mapped over the thread pool."""
-    return thread_map(lambda k: numerov_delta0(float(k), b, **numerov_kw), ks)
+    """numerov_delta0 at every momentum of ks."""
+    return [numerov_delta0(float(k), b, **numerov_kw) for k in ks]
 
 
 def a_from_delta(k: float, delta: float) -> float:
@@ -447,14 +446,8 @@ class ScatteringLengthTable:
         return list(self._resonance_intervals)
 
 
-def a_of_e_table(b: float, energies=None, *, e_min: float = 0.01,
-                 e_max: float = 6.0, n: int = 120,
-                 **numerov_kw) -> ScatteringLengthTable:
-    """Phase-shift table for radius b at given energies (default: uniform in k)."""
-    if energies is None:
-        return ScatteringLengthTable.from_potential(
-            b, e_min=e_min, e_max=e_max, n=n, **numerov_kw
-        )
+def a_of_e_table(b: float, energies, **numerov_kw) -> ScatteringLengthTable:
+    """Phase-shift table for radius b at the given energies (E*)."""
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or np.any(e <= 0.0):
         raise DomainError("energies must be a 1D positive array")
@@ -502,12 +495,3 @@ def find_resonance(table: ScatteringLengthTable, e_lo: float | None = None,
                     bb = mid
             return 0.5 * (a + bb)
     raise RootError("no a(E) pole found in the window")
-
-
-def write_scatlen_table(path, table: ScatteringLengthTable):
-    """Dump the table as CSV: energy, phase shift, scattering length."""
-    with np.errstate(divide="ignore", over="ignore"):
-        a_vals = -np.tan(table.deltas) / np.sqrt(table.energies)
-    rows = np.column_stack([table.energies, table.deltas, a_vals])
-    header = "E_over_Estar,delta0_rad,a_over_Rstar"
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._concurrency import thread_map
 from .errors import (
     DomainError,
     FitRankError,
@@ -380,8 +379,7 @@ def _group_tracks(theta_grid: np.ndarray, roots_list: list[np.ndarray],
 
 def solve_bands(config: ModelConfig, n_bands: int = 4, *,
                 theta_grid=None, e_min: float | None = None,
-                e_max: float | None = None,
-                scan_points: int = SCAN_POINTS) -> list[Band]:
+                e_max: float | None = None) -> list[Band]:
     """Solve the lowest ``n_bands`` Bloch bands over a theta grid on [0, pi]."""
     config = validate(config)
     if n_bands < 1:
@@ -391,11 +389,8 @@ def solve_bands(config: ModelConfig, n_bands: int = 4, *,
     else:
         theta_grid = np.asarray(theta_grid, dtype=float)
 
-    roots_list = thread_map(
-        lambda th: band_energies_at_theta(
-            th, config, e_min=e_min, e_max=e_max, scan_points=scan_points),
-        theta_grid,
-    )
+    roots_list = [band_energies_at_theta(th, config, e_min=e_min, e_max=e_max)
+                  for th in theta_grid]
     tracks, flags = _group_tracks(theta_grid, roots_list,
                                   config.lattice_spacing)
     if len(tracks) < n_bands:
@@ -471,13 +466,12 @@ def effective_mass(band: Band, fit_fraction: float = 0.5, *,
 
 
 def effective_mass_for_model(model, L: float, *, theta_points: int = 101,
-                             fit_fraction: float = 0.5,
-                             scan_points: int = SCAN_POINTS) -> EffectiveMassFit:
+                             fit_fraction: float = 0.5) -> EffectiveMassFit:
     """Effective mass of the lowest band (dimer band skipped for 1/a > 0)."""
     window = _lowest_band_window(model, L)
     config = ModelConfig(lattice_spacing=L, scattering=model,
                          theta_grid_size=theta_points, energy_window=window)
-    bands = solve_bands(config, n_bands=1, scan_points=scan_points)
+    bands = solve_bands(config, n_bands=1)
     if not bands:
         raise RootError("no band found in the effective-mass window")
     return effective_mass(bands[0], fit_fraction)
@@ -494,8 +488,8 @@ class BandEdgeRow:
     flag: str = ""
 
 
-def band_edges_vs_a(a_values, L: float, *, n_bands: int = 3,
-                    scan_points: int = SCAN_POINTS) -> list[BandEdgeRow]:
+def band_edges_vs_a(a_values, L: float, *,
+                    n_bands: int = 3) -> list[BandEdgeRow]:
     """Sweep the contact scattering length and report band edges.
 
     Failures are flagged per row instead of aborting the sweep; bands whose
@@ -512,12 +506,12 @@ def band_edges_vs_a(a_values, L: float, *, n_bands: int = 3,
         e_lo = min(e_b - 0.5, 0.5)
         config = ModelConfig(lattice_spacing=L, scattering=model,
                              energy_window=(e_lo, e_hi))
-        r0 = band_energies_at_theta(0.0, config, scan_points=scan_points)
-        rpi = band_energies_at_theta(math.pi, config, scan_points=scan_points)
+        r0 = band_energies_at_theta(0.0, config)
+        rpi = band_energies_at_theta(math.pi, config)
         return r0, rpi
 
     rows: list[BandEdgeRow] = []
-    results = thread_map(lambda a: _guarded(edges_for, float(a)), a_values)
+    results = [_guarded(edges_for, float(a)) for a in a_values]
     for a, res in zip(a_values, results):
         a = float(a)
         if isinstance(res, Exception):
@@ -576,11 +570,9 @@ def effective_mass_vs_a(a_values, L: float, *, theta_points: int = 101,
             theta_points=theta_points, fit_fraction=fit_fraction,
         )
 
-    results = thread_map(
-        lambda a: _guarded(fit_at, float(a)),
-        np.asarray(a_values, dtype=float),
-    )
-    for a, res in zip(np.asarray(a_values, dtype=float), results):
+    a_values = np.asarray(a_values, dtype=float)
+    results = [_guarded(fit_at, float(a)) for a in a_values]
+    for a, res in zip(a_values, results):
         if isinstance(res, Exception):
             warnings.warn(f"effective mass failed at a={a}: {res}",
                           RuntimeWarning, stacklevel=2)
@@ -589,15 +581,3 @@ def effective_mass_vs_a(a_values, L: float, *, theta_points: int = 101,
             out.append(EffectiveMassRow(float(a), res.eps_b,
                                         res.inv_mass_ratio, True))
     return out
-
-
-def write_band_table(path, bands: list[Band]):
-    """CSV dump of solved bands, one row per (band, theta) sample."""
-    lines = ["theta,qL_over_pi,band_index,E_over_hbaromega"]
-    for band in bands:
-        for th, e in zip(band.thetas, band.energies):
-            lines.append(
-                f"{th:.12g},{th / math.pi:.12g},{band.index},{e:.12g}"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -19,14 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from ._concurrency import thread_map
 from .atomion import (
     ScatteringLengthTable,
     a_low_energy,
     a_zero_extrapolated,
     invert_a_of_b,
 )
-from .bands import band_edges_vs_a, effective_mass_for_model, solve_bands
+from .bands import (
+    band_edges_vs_a,
+    effective_mass_for_model,
+    effective_mass_vs_a,
+    solve_bands,
+)
 from .errors import ConfigError, QuasiKpError
 from .greens_oracle import (
     beta_bruteforce,
@@ -114,15 +118,18 @@ class _Options:
         return default
 
 
-def _resolve_b(opts: _Options, *, context_scale: float | None = None) -> float:
-    """Regularization radius: --b wins, else invert a(0) = --a0 [R*]."""
+def _resolve_b(opts: _Options, *, a0: float | None = None) -> float:
+    """Regularization radius: --b wins, else invert a(0) = --a0 [R*].
+
+    ``a0`` is the fallback when the command has no --a0 of its own.
+    """
     b = opts.get("b", None)
     if b is not None:
         b = float(b)
         if b <= 0.0:
             raise ConfigError(["b must be > 0"])
         return b
-    a0 = opts.get("a0", None)
+    a0 = opts.get("a0", a0)
     if a0 is None:
         raise ConfigError(["need either --b or --a0"])
     n_bound = 1 if opts.get("one_bound_state", False) else int(opts.get("n_bound", 1))
@@ -142,6 +149,8 @@ def cmd_bands(args) -> int:
     theta_points = int(opts.get("theta_points", 101))
     e_max = float(opts.get("energy_max", 7.0))
     n_bands = int(opts.get("n_bands", 4))
+    if n_bands < 1:
+        raise ConfigError(["--n-bands must be >= 1"])
     models = opts.get("models", list(MODEL_TAGS))
     for tag in models:
         if tag not in MODEL_TAGS:
@@ -168,18 +177,14 @@ def cmd_bands(args) -> int:
             raise ConfigError(["energy-dependent bands need --rstar > 0"])
         if const_model.is_free:
             raise ConfigError(["energy-dependent bands need a != 0"])
-        b = opts.get("b", None)
-        if b is None:
-            b = invert_a_of_b(a / rstar, 1 if opts.get("one_bound_state", False)
-                              else int(opts.get("n_bound", 1)))
-            print(f"resolved b = {b:.10g} (a(0) = {a / rstar:.6g} R*)")
+        b = _resolve_b(opts, a0=a / rstar)
         table = ScatteringLengthTable.from_potential(
-            float(b), e_min=0.01,
+            b, e_min=0.01,
             e_max=max(0.5, 2.5 * rstar * rstar * e_max), n=60,
         )
         en_model = EnergyDependentScatteringLength(table, rstar)
         config = ModelConfig(lattice_spacing=L, scattering=en_model,
-                             r_star_ratio=rstar, theta_grid_size=theta_points,
+                             theta_grid_size=theta_points,
                              energy_window=(e_lo, e_max))
         for band in solve_bands(config, n_bands):
             rows += [("energy-dependent", float(th), band.index, float(e))
@@ -191,8 +196,7 @@ def cmd_bands(args) -> int:
         g = 0.0 if const_model.is_free else -1.0 / a1d_of_e(1.0, const_model)
         params = Kp1dParams(g1d=g, L=L)
         thetas = np.linspace(0.0, math.pi, theta_points)
-        kp_rows = thread_map(
-            lambda th: kp1d_bands(params, float(th), n_bands), thetas)
+        kp_rows = [kp1d_bands(params, float(th), n_bands) for th in thetas]
         for th, es in zip(thetas, kp_rows):
             rows += [("kp1d-reduced", float(th), i, 1.0 + float(e))
                      for i, e in enumerate(es)]
@@ -291,27 +295,26 @@ def cmd_meff(args) -> int:
         a_values = np.linspace(-2.0, 2.0, 41)
     a_values = [float(v) for v in np.atleast_1d(np.asarray(a_values, dtype=float))]
     rstar = opts.get("rstar", None)
+    rstar = None if rstar is None else float(rstar)
     theta_points = int(opts.get("theta_points", 101))
     fit_fraction = float(opts.get("fit_fraction", 0.5))
+    errors = []
+    if theta_points < 2:
+        errors.append("--theta-points must be >= 2")
+    if not 0.0 < fit_fraction <= 1.0:
+        errors.append("--fit-fraction must be in (0, 1]")
+    if rstar is not None and not rstar > 0.0:
+        errors.append("--rstar must be > 0")
+    if errors:
+        raise ConfigError(errors)
 
-    rows: list[tuple] = []
-
-    def contact_row(a: float) -> tuple:
-        try:
-            fit = effective_mass_for_model(
-                ConstantScatteringLength(a), L,
-                theta_points=theta_points, fit_fraction=fit_fraction)
-            return (a, L, "contact", fit.inv_mass_ratio, "")
-        except QuasiKpError:
-            return (a, L, "contact", math.nan, "failed")
-
-    rows += thread_map(contact_row, a_values)
+    rows: list[tuple] = [
+        (r.a_axis, L, "contact", r.inv_mass_ratio, "" if r.ok else "failed")
+        for r in effective_mass_vs_a(a_values, L, theta_points=theta_points,
+                                     fit_fraction=fit_fraction)
+    ]
 
     if rstar is not None:
-        rstar = float(rstar)
-        if rstar <= 0.0:
-            raise ConfigError(["--rstar must be > 0"])
-
         def iondep_row(a: float) -> tuple:
             try:
                 if a == 0.0:
@@ -326,10 +329,10 @@ def cmd_meff(args) -> int:
                 a_axis = model.a_of(fit.eps_b)
                 return (float(a_axis), L, "energy-dependent",
                         fit.inv_mass_ratio, "")
-            except (QuasiKpError, ConfigError):
+            except QuasiKpError:
                 return (a, L, "energy-dependent", math.nan, "failed")
 
-        rows += thread_map(iondep_row, a_values)
+        rows += [iondep_row(a) for a in a_values]
 
     out = _resolve_out(args, "fig7_effective_mass")
     _write_table(out, ["a_axis", "L_over_aperp", "model", "m_over_meff", "flag"],

@@ -278,30 +278,25 @@ class EnergyDependentScatteringLength:
     wrapper converts waveguide energies via E* = 2 (R*/a_perp)^2 E[hbar*omega]
     and lengths via a[a_perp] = (R*/a_perp) a[R*].
 
-    kinetic_reference selects which energy feeds the 3D collision:
-    "total" uses the full Bloch energy, "relative-to-threshold" subtracts
-    the transverse zero point hbar*omega.  Below the table's first sample
-    the universal low-energy form a(k) = a(k_min) + (pi/3)(k - k_min)
-    extends it continuously; below zero kinetic energy it freezes.
+    The full Bloch energy, transverse zero point included, feeds the 3D
+    collision.  Below the table's first sample the universal low-energy
+    form a(k) = a(k_min) + (pi/3)(k - k_min) extends it continuously;
+    below zero kinetic energy it freezes.
     """
 
     table: object
     r_star_ratio: float
-    kinetic_reference: str = "total"
 
     def __post_init__(self):
         if not (math.isfinite(self.r_star_ratio) and self.r_star_ratio > 0.0):
             raise ConfigError(["r_star_ratio must be > 0 for an ion-scale model"])
-        if self.kinetic_reference not in ("total", "relative-to-threshold"):
-            raise ConfigError([f"unknown kinetic_reference {self.kinetic_reference!r}"])
 
     @property
     def is_free(self) -> bool:
         return False
 
     def _ion_energy(self, E_ho):
-        offset = 0.0 if self.kinetic_reference == "total" else 1.0
-        return (np.asarray(E_ho, dtype=float) - offset) * 2.0 * self.r_star_ratio**2
+        return np.asarray(E_ho, dtype=float) * 2.0 * self.r_star_ratio**2
 
     def _a_rstar(self, e_ion):
         """a(E) in R* units with the continuous low-energy extension."""
@@ -328,9 +323,8 @@ class EnergyDependentScatteringLength:
 
     def a_zero_energies_ho(self) -> list[float]:
         """Waveguide energies where a(E) crosses zero (residual poles)."""
-        offset = 0.0 if self.kinetic_reference == "total" else 1.0
         scale = 2.0 * self.r_star_ratio**2
-        return [e / scale + offset for e in self.table.a_zero_energies]
+        return [e / scale for e in self.table.a_zero_energies]
 
 
 ScatteringModel = Union[ConstantScatteringLength, EnergyDependentScatteringLength]

@@ -69,9 +69,6 @@ class ModelConfig:
     scattering
         A scattering model (constant or energy dependent 3D scattering
         length); see :mod:`quasikp.quasi1d`.
-    r_star_ratio
-        R*/a_perp of the underlying atom-ion interaction, zero for a
-        pure contact model.  Kept here so output tables can be labelled.
     theta_grid_size
         Number of Bloch-phase samples on [0, pi].
     energy_window
@@ -80,7 +77,6 @@ class ModelConfig:
 
     lattice_spacing: float
     scattering: "ScatteringModel"
-    r_star_ratio: float = 0.0
     theta_grid_size: int = 101
     energy_window: tuple[float, float] = (-1.0, 7.0)
 
@@ -101,14 +97,6 @@ def validate(config: ModelConfig) -> ModelConfig:
     except (TypeError, ValueError):
         errors.append("lattice_spacing must be a positive number")
         spacing = float("nan")
-
-    try:
-        r_star = float(config.r_star_ratio)
-        if not (math.isfinite(r_star) and r_star >= 0.0):
-            errors.append("r_star_ratio must be finite and >= 0")
-    except (TypeError, ValueError):
-        errors.append("r_star_ratio must be a number")
-        r_star = 0.0
 
     try:
         grid = int(config.theta_grid_size)
@@ -134,7 +122,6 @@ def validate(config: ModelConfig) -> ModelConfig:
     return replace(
         config,
         lattice_spacing=spacing,
-        r_star_ratio=r_star,
         theta_grid_size=grid,
         energy_window=(lo, hi),
     )

@@ -27,7 +27,6 @@ from quasikp import (
     numerov_delta0,
     numerov_node_count,
     threshold_b,
-    write_scatlen_table,
 )
 from quasikp import atomion
 from quasikp.atomion import (
@@ -332,12 +331,3 @@ class TestScatteringLengthTable:
             ScatteringLengthTable(0.431, [1.0, 2.0], [0.1, 0.2])  # too few
         with pytest.raises(DomainError):
             ScatteringLengthTable(0.431, [1.0, 1.0, 2.0, 3.0], [0.1] * 4)
-
-    def test_csv_output(self, table, tmp_path):
-        path = tmp_path / "scatlen.csv"
-        write_scatlen_table(path, table)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "E_over_Estar,delta0_rad,a_over_Rstar"
-        assert len(lines) == 1 + table.energies.size
-        first = [float(x) for x in lines[1].split(",")]
-        assert first[0] == pytest.approx(table.e_min, rel=1e-12)

@@ -25,7 +25,6 @@ from quasikp import (
     lattice_sum_pole_energies,
     solve_bands,
     validate,
-    write_band_table,
 )
 from quasikp import bands as bands_mod
 from quasikp.atomion import ScatteringLengthTable, invert_a_of_b
@@ -182,7 +181,7 @@ class TestSolveBands:
         table = ScatteringLengthTable.from_potential(b, e_min=0.01, e_max=2.0, n=40)
         model = EnergyDependentScatteringLength(table, r_star_ratio=0.3)
         cfg = validate(ModelConfig(
-            lattice_spacing=5.0, scattering=model, r_star_ratio=0.3,
+            lattice_spacing=5.0, scattering=model,
             theta_grid_size=11, energy_window=(1.0 + 1e-6, 1.0 + 1e-6 + 0.75),
         ))
         bands = solve_bands(cfg, n_bands=1)
@@ -392,18 +391,3 @@ class TestBandEdges:
     def test_rejects_zero_bands(self):
         with pytest.raises(DomainError):
             band_edges_vs_a([0.5], 5.0, n_bands=0)
-
-
-class TestBandTable:
-    def test_csv_layout(self, tmp_path):
-        cfg = _config(0.0, 5.0, theta_grid_size=11, energy_window=(0.9, 1.4))
-        bands = solve_bands(cfg, n_bands=1)
-        path = tmp_path / "bands.csv"
-        write_band_table(path, bands)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "theta,qL_over_pi,band_index,E_over_hbaromega"
-        assert len(lines) == 1 + 11 * len(bands)
-        th, ql, idx, e = lines[1].split(",")
-        assert float(th) == 0.0
-        assert int(idx) == 0
-        assert float(e) == pytest.approx(1.0, abs=1e-9)

@@ -229,6 +229,30 @@ class TestBands:
         assert rc == 2
         assert "a != 0" in capsys.readouterr().err
 
+    def test_nonpositive_b_rejected(self, tmp_path, capsys):
+        rc = main(["bands", "--L", "5", "--a", "0.5", "--rstar", "0.1",
+                   "--b", "-0.3", "--models", "energy-dependent",
+                   "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert "b must be > 0" in capsys.readouterr().err
+
+    def test_explicit_b_wins_and_is_not_echoed(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        rc = main(["bands", "--L", "2", "--a", "0.5", "--rstar", "0.3",
+                   "--b", "0.431", "--models", "energy-dependent",
+                   "--theta-points", "5", "--n-bands", "1",
+                   "--energy-max", "4.0", "--out", str(out)])
+        assert rc == 0
+        assert "resolved b" not in capsys.readouterr().out
+        _, rows = read_csv(out)
+        assert {r[0] for r in rows} == {"energy-dependent"}
+
+    def test_zero_bands_rejected(self, tmp_path, capsys):
+        rc = main(["bands", "--n-bands", "0", "--models", "constant-a",
+                   "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert "--n-bands must be >= 1" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------- bands-vs-a
 
@@ -330,11 +354,24 @@ class TestMeff:
         # 31 thetas leave only 16 points inside the fit window, below the
         # fitter's minimum, so every row must be flagged instead of raising
         out = tmp_path / "meff.csv"
-        rc = main(["meff", "--L", "5", "--a", "0.0", "0.3",
-                   "--theta-points", "31", "--out", str(out)])
+        with pytest.warns(RuntimeWarning, match="effective mass failed"):
+            rc = main(["meff", "--L", "5", "--a", "0.0", "0.3",
+                       "--theta-points", "31", "--out", str(out)])
         assert rc == 0
         _, rows = read_csv(out)
         assert all(r[3] == "nan" and r[4] == "failed" for r in rows)
+
+    def test_nonpositive_fit_fraction_rejected(self, tmp_path, capsys):
+        rc = main(["meff", "--L", "5", "--a", "0.3", "--fit-fraction", "0",
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert "--fit-fraction must be in (0, 1]" in capsys.readouterr().err
+
+    def test_single_theta_point_rejected(self, tmp_path, capsys):
+        rc = main(["meff", "--L", "5", "--a", "0.3", "--theta-points", "1",
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert "--theta-points must be >= 2" in capsys.readouterr().err
 
     def test_json_maps_nan_to_null(self, tmp_path):
         out = tmp_path / "meff.json"

@@ -59,7 +59,6 @@ class TestValidate:
         base = dict(
             lattice_spacing=5.0,
             scattering=ConstantScatteringLength(0.5),
-            r_star_ratio=0.0,
             theta_grid_size=101,
             energy_window=(-1.0, 7.0),
         )
