@@ -7,7 +7,8 @@ transverse thresholds E = 1 + 2n, at poles of the propagating lattice sum
 dependent models, where a(E) crosses zero.  The search window is split at
 all of those points, each piece is scanned densely in one vectorised
 residual call (grid points on a pole come back NaN and are dropped), and
-every sign change is bisected.  Node states sin(K z) with
+the sign changes of all pieces are refined together by Chandrupatla's
+method (:func:`quasikp._roots.chandrupatla`).  Node states sin(K z) with
 K L = 2 pi j +/- theta vanish on every impurity and are eigenstates at any
 coupling, but they sit exactly on lattice-sum poles where the residual
 cannot see them: at theta = 0 and theta = pi they are injected by hand.
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import chandrupatla
 from .errors import (
     DomainError,
     FitRankError,
-    PoleError,
     QuasiKpError,
     RootError,
 )
@@ -185,36 +186,6 @@ def _residual_curve(es: np.ndarray, theta: float, config: ModelConfig):
     return es[keep], fs[keep]
 
 
-def _bisect_many(f_vec, lo, hi, flo) -> np.ndarray:
-    """Bisect every bracket [lo, hi] at once; f_vec takes an energy array.
-
-    Raises PoleError if a midpoint lands on a lattice-sum pole (f_vec gives
-    NaN there), so a bracket is never given up silently.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.array(flo, dtype=float)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        tol = np.maximum(BISECT_TOL, 1e-14 * np.abs(mid))
-        active = (hi - lo) > tol
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        fm = np.asarray(f_vec(mid[idx]), dtype=float)
-        if np.isnan(fm).any():
-            e_bad = float(mid[idx][np.isnan(fm)][0])
-            raise PoleError(
-                f"bisection midpoint E={e_bad!r} fell on a lattice-sum pole",
-                channel=None,
-            )
-        to_lo = (fm > 0.0) == (flo[idx] > 0.0)
-        lo[idx[to_lo]] = mid[idx[to_lo]]
-        flo[idx[to_lo]] = fm[to_lo]
-        hi[idx[~to_lo]] = mid[idx[~to_lo]]
-    return 0.5 * (lo + hi)
-
-
 def band_energies_at_theta(theta: float, config: ModelConfig, *,
                            e_min: float | None = None,
                            e_max: float | None = None,
@@ -248,6 +219,7 @@ def band_energies_at_theta(theta: float, config: ModelConfig, *,
     lo_list: list[np.ndarray] = []
     hi_list: list[np.ndarray] = []
     flo_list: list[np.ndarray] = []
+    fhi_list: list[np.ndarray] = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         a = lo + GUARD
         b = hi - GUARD
@@ -263,10 +235,13 @@ def band_energies_at_theta(theta: float, config: ModelConfig, *,
             lo_list.append(es[flips])
             hi_list.append(es[flips + 1])
             flo_list.append(fs[flips])
+            fhi_list.append(fs[flips + 1])
     if lo_list:
-        # one vectorized bisection across every bracket of every piece
-        found = _bisect_many(f_vec, np.concatenate(lo_list),
-                             np.concatenate(hi_list), np.concatenate(flo_list))
+        # one vectorised solve across every bracket of every piece
+        found = chandrupatla(f_vec, np.concatenate(lo_list),
+                             np.concatenate(hi_list), np.concatenate(flo_list),
+                             np.concatenate(fhi_list), atol=BISECT_TOL,
+                             rtol=1e-14)
         roots.extend(float(r) for r in found)
 
     if abs(math.sin(th)) < 1e-12:

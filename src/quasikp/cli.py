@@ -149,8 +149,13 @@ def cmd_bands(args) -> int:
     theta_points = int(opts.get("theta_points", 101))
     e_max = float(opts.get("energy_max", 7.0))
     n_bands = int(opts.get("n_bands", 4))
+    errors = []
     if n_bands < 1:
-        raise ConfigError(["--n-bands must be >= 1"])
+        errors.append("--n-bands must be >= 1")
+    if theta_points < 2:
+        errors.append("--theta-points must be >= 2")
+    if errors:
+        raise ConfigError(errors)
     models = opts.get("models", list(MODEL_TAGS))
     for tag in models:
         if tag not in MODEL_TAGS:
@@ -215,6 +220,8 @@ def cmd_bands_vs_a(args) -> int:
         a_values = np.linspace(-2.0, 2.0, 41)
     a_values = [float(v) for v in np.atleast_1d(np.asarray(a_values, dtype=float))]
     n_bands = int(opts.get("n_bands", 3))
+    if n_bands < 1:
+        raise ConfigError(["--n-bands must be >= 1"])
 
     header = ["a_over_aperp", "band", "E_theta0", "E_thetapi", "flag"]
     for L in Ls:
@@ -233,10 +240,12 @@ def cmd_bands_vs_a(args) -> int:
 
 def cmd_scatlen(args) -> int:
     opts = _Options(args)
+    points = int(opts.get("points", 160))
+    if points < 4:
+        raise ConfigError(["--points must be >= 4"])
     b = _resolve_b(opts)
     e_min = float(opts.get("e_min", 0.01))
     e_max = float(opts.get("energy_max", 6.0))
-    points = int(opts.get("points", 160))
     table = ScatteringLengthTable.from_potential(b, e_min=e_min, e_max=e_max,
                                                  n=points)
 
@@ -264,6 +273,8 @@ def cmd_a1deff(args) -> int:
     a = float(opts.get("a", 1.0))
     Ls = [float(v) for v in opts.get("L", [1.0, 1.5, 3.0])]
     theta_points = int(opts.get("theta_points", 181))
+    if theta_points < 1:
+        raise ConfigError(["--theta-points must be >= 1"])
     mode = opts.get("mode", "both")
     if mode == "both":
         modes = ["series", "h-approx"]

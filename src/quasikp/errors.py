@@ -56,7 +56,7 @@ class GridError(QuasiKpError):
 
 
 class RootError(QuasiKpError):
-    """Root bracketing or bisection failed to converge."""
+    """Root bracketing or bracket refinement failed to converge."""
 
 
 class FitRankError(QuasiKpError):

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import chandrupatla
 from .errors import ConfigError, RootError
 
-_BISECT_MAX = 200
+# refine roots to a few ulp; a step of rtol/2 |k| always reaches a new float
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 _RHS_TOL = 1e-10  # |rhs - cos(theta)| at an accepted root
 _NODE_TOL = 1e-12
 
@@ -88,25 +90,6 @@ def _scaled_negative_residual(kappa, params: Kp1dParams, cos_theta: float):
     return out
 
 
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Plain bisection to machine-level bracket width; f values must straddle 0."""
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if not math.isfinite(fm):
-            raise RootError(f"non-finite residual in bracket [{lo}, {hi}]")
-        # compare signs: flo * fm underflows to 0 for a subnormal residual
-        if (fm < 0.0) != (flo < 0.0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _sign_changes(vals: np.ndarray) -> np.ndarray:
     """Indices i where vals[i] and vals[i + 1] are non-zero of opposite sign.
 
@@ -130,30 +113,40 @@ def _scan_grid(lo: float, hi: float, scan_points: int) -> np.ndarray:
     return np.unique(ks)
 
 
+def _refine(f, ks: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Roots inside every sign change of the scan, refined in one call."""
+    i = _sign_changes(vals)
+    found = chandrupatla(f, ks[i], ks[i + 1], vals[i], vals[i + 1],
+                         atol=0.0, rtol=_ROOT_RTOL)
+    return found.tolist()
+
+
 def _positive_roots(params: Kp1dParams, cos_theta: float, n_intervals: int,
                     scan_points: int = 240) -> list[float]:
     """Roots of rhs(k) = cos(theta) for k >= 0, interval by interval.
 
-    Interval j is (j*pi/L, (j+1)*pi/L); a dense endpoint-refined scan
-    plus bisection finds every transversal crossing.  At the nodes
-    kL = m*pi the rhs equals (-1)^m exactly (the delta term vanishes),
-    so when cos(theta) matches that value the node is a root the scan
-    can only touch tangentially; those roots are added analytically.
+    Interval j is (j*pi/L, (j+1)*pi/L); a dense endpoint-refined scan of
+    every interval finds each transversal crossing, and Chandrupatla's
+    method (:func:`quasikp._roots.chandrupatla`) refines all of them in one
+    call.  At the nodes kL = m*pi the rhs equals (-1)^m exactly (the delta
+    term vanishes), so when cos(theta) matches that value the node is a
+    root the scan can only touch tangentially; those roots are added
+    analytically.
     """
     L = params.L
-    f = lambda k: kp1d_rhs(k, params) - cos_theta
     roots: list[float] = []
     for m in range(n_intervals + 1):
         rhs_node = (1.0 if m % 2 == 0 else -1.0) + (params.g1d * L if m == 0 else 0.0)
         if abs(rhs_node - cos_theta) < _NODE_TOL:
             roots.append(m * np.pi / L)
-    for j in range(n_intervals):
-        ks = _scan_grid(j * np.pi / L, (j + 1) * np.pi / L, scan_points)
-        vals = kp1d_rhs(ks, params) - cos_theta
-        for i in _sign_changes(vals):
-            roots.append(_bisect(f, float(ks[i]), float(ks[i + 1]),
-                                 float(vals[i]), float(vals[i + 1])))
-    return roots
+    # the interval grids share only their end nodes, so the merged grid
+    # holds the same brackets as the separate scans
+    ks = np.unique(np.concatenate([
+        _scan_grid(j * np.pi / L, (j + 1) * np.pi / L, scan_points)
+        for j in range(n_intervals)
+    ]))
+    f = lambda k: kp1d_rhs(k, params) - cos_theta
+    return roots + _refine(f, ks, f(ks))
 
 
 def _negative_roots(params: Kp1dParams, cos_theta: float,
@@ -165,13 +158,9 @@ def _negative_roots(params: Kp1dParams, cos_theta: float,
     kappa_hi = max(2.0 * abs(params.g1d), 4.0 / params.L)
     f = lambda kap: _scaled_negative_residual(kap, params, cos_theta)
     ks = _scan_grid(0.0, kappa_hi, scan_points)
-    vals = _scaled_negative_residual(ks, params, cos_theta)
+    vals = f(ks)
     exact = (vals[:-1] == 0.0) & (ks[:-1] > 0.0)
-    roots = [float(k) for k in ks[:-1][exact]]
-    for i in _sign_changes(vals):
-        roots.append(_bisect(f, float(ks[i]), float(ks[i + 1]),
-                             float(vals[i]), float(vals[i + 1])))
-    return roots
+    return [float(k) for k in ks[:-1][exact]] + _refine(f, ks, vals)
 
 
 def kp1d_bands(params: Kp1dParams, theta: float, n_bands: int) -> list[float]:

@@ -1,10 +1,14 @@
 """Band solving, continuity tracking, edges, and effective-mass fits."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from quasikp import (
     Band,
@@ -15,6 +19,7 @@ from quasikp import (
     Kp1dParams,
     ModelConfig,
     PoleError,
+    RootError,
     a1d_of_e,
     band_edges_vs_a,
     band_energies_at_theta,
@@ -28,13 +33,43 @@ from quasikp import (
 )
 from quasikp import bands as bands_mod
 from quasikp.atomion import ScatteringLengthTable, invert_a_of_b
-from quasikp.bands import _bisect_many
+from quasikp._roots import chandrupatla
 
 
 def _config(a, L, **kw):
     return validate(
         ModelConfig(lattice_spacing=L, scattering=ConstantScatteringLength(a), **kw)
     )
+
+
+def _bisect_many_oracle(f_vec, lo, hi, flo) -> np.ndarray:
+    """The vectorised bisection the band solver used before (test oracle)."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = np.array(flo, dtype=float)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        tol = np.maximum(bands_mod.BISECT_TOL, 1e-14 * np.abs(mid))
+        active = (hi - lo) > tol
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        fm = np.asarray(f_vec(mid[idx]), dtype=float)
+        if np.isnan(fm).any():
+            raise PoleError("bisection midpoint fell on a lattice-sum pole",
+                            channel=None)
+        to_lo = (fm > 0.0) == (flo[idx] > 0.0)
+        lo[idx[to_lo]] = mid[idx[to_lo]]
+        flo[idx[to_lo]] = fm[to_lo]
+        hi[idx[~to_lo]] = mid[idx[~to_lo]]
+    return 0.5 * (lo + hi)
+
+
+@functools.cache
+def _ion_model(a0):
+    b = invert_a_of_b(a0, 1)
+    table = ScatteringLengthTable.from_potential(b, e_min=0.01, e_max=2.0, n=40)
+    return EnergyDependentScatteringLength(table, r_star_ratio=0.3)
 
 
 def _free_levels(theta, L, e_max, count):
@@ -229,7 +264,96 @@ class TestPoleMasking:
             return np.where(np.abs(es - 0.5) < 1e-3, math.nan, es - 0.7)
 
         with pytest.raises(PoleError):
-            _bisect_many(f_vec, [0.0], [1.0], [-0.7])
+            chandrupatla(f_vec, [0.0], [1.0], [-0.7], [0.3],
+                         atol=bands_mod.BISECT_TOL, rtol=1e-14)
+
+
+class TestRootSolver:
+    """Chandrupatla refinement against the bisection oracle and brentq."""
+
+    @given(
+        a0=st.sampled_from([None, 1.0, -1.0]),
+        a=st.floats(0.05, 2.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        L=st.floats(0.8, 8.0),
+        theta=st.floats(0.0, math.pi),
+        e_lo=st.floats(-2.0, 0.9),
+        e_hi=st.floats(1.5, 6.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_roots_match_oracle_and_brentq(self, a0, a, sign, L, theta,
+                                           e_lo, e_hi):
+        # a0 None is the constant-a model, else an atom-ion a(E) table
+        model = (ConstantScatteringLength(sign * a) if a0 is None
+                 else _ion_model(a0))
+        cfg = validate(ModelConfig(lattice_spacing=L, scattering=model,
+                                   energy_window=(e_lo, e_hi)))
+        solves = []
+
+        def recording(f_vec, lo, hi, flo, fhi, **tols):
+            found = chandrupatla(f_vec, lo, hi, flo, fhi, **tols)
+            solves.append((f_vec, lo, hi, found))
+            return found
+
+        def oracle(f_vec, lo, hi, flo, fhi, **tols):
+            return _bisect_many_oracle(f_vec, lo, hi, flo)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bands_mod, "chandrupatla", recording)
+            new = band_energies_at_theta(theta, cfg)
+            mp.setattr(bands_mod, "chandrupatla", oracle)
+            old = band_energies_at_theta(theta, cfg)
+        assert new.size == old.size
+        np.testing.assert_allclose(new, old, rtol=1e-10, atol=1e-10)
+        for f_vec, lo, hi, found in solves:
+            def f(e):
+                return float(f_vec(np.array([e]))[0])
+
+            ref = [brentq(f, x0, x1, xtol=1e-14, rtol=1e-15)
+                   for x0, x1 in zip(lo, hi)]
+            np.testing.assert_allclose(found, ref, rtol=1e-10, atol=1e-10)
+
+    def test_converges_superlinearly(self):
+        # bisection needs 43 halvings of [0, 5] to reach the 1e-12 width
+        calls = []
+
+        def f_vec(es):
+            calls.append(es.size)
+            return np.exp(es) - 10.0
+
+        root = chandrupatla(f_vec, [0.0], [5.0], [-9.0], [math.exp(5.0) - 10.0],
+                            atol=bands_mod.BISECT_TOL, rtol=1e-14)
+        assert root[0] == pytest.approx(math.log(10.0), abs=1e-12)
+        assert len(calls) <= 12
+
+    def test_nan_inside_bracket_raises(self):
+        # the NaN strip sits at the root, away from the first bisection point
+        def f_vec(es):
+            return np.where(np.abs(es - 0.7) < 1e-6, math.nan, es - 0.7)
+
+        with pytest.raises(PoleError):
+            chandrupatla(f_vec, [0.0], [1.0], [-0.7], [0.3],
+                         atol=bands_mod.BISECT_TOL, rtol=1e-14)
+
+    def test_bracket_that_cannot_converge_raises(self):
+        # a sign step with no zero never meets a zero width rule
+        def f_vec(es):
+            return np.where(es < 0.3, -1.0, 1.0)
+
+        with pytest.raises(RootError):
+            chandrupatla(f_vec, [0.0], [1.0], [-1.0], [1.0], atol=0.0, rtol=0.0)
+
+    def test_exact_zero_is_returned(self):
+        def never(es):
+            raise AssertionError("no residual call needed")
+
+        ends = chandrupatla(never, [0.0, 2.0], [1.0, 3.0], [0.0, -1.0],
+                            [0.5, 0.0], atol=0.0, rtol=0.0)
+        assert ends.tolist() == [0.0, 3.0]
+        # the first bisection point is an exact zero
+        mid = chandrupatla(lambda es: es - 0.5, [0.0], [1.0], [-0.5], [0.5],
+                           atol=0.0, rtol=0.0)
+        assert mid.tolist() == [0.5]
 
 
 class TestLatticeSumPoles:

@@ -450,6 +450,23 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bands-vs-a", "--L", "2", "--a", "0.5", "--n-bands", "0"],
+         "--n-bands must be >= 1"),
+        (["scatlen", "--b", "0.431", "--points", "3"], "--points must be >= 4"),
+        (["a1deff", "--a", "1", "--L", "1", "--theta-points", "0"],
+         "--theta-points must be >= 1"),
+        (["bands", "--models", "kp1d-reduced", "--theta-points", "1",
+          "--L", "2", "--a", "0.5"], "--theta-points must be >= 2"),
+    ])
+    def test_bad_counts_exit_2_before_solving(self, argv, message, tmp_path,
+                                              capsys):
+        out = tmp_path / "t.csv"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_errors_exit_2_with_message(self, tmp_path, capsys):
         rc = main(["scatlen", "--b", "-1.0", "--out", str(tmp_path / "t.csv")])
         assert rc == 2

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from quasikp import ConfigError, Kp1dParams, kp1d_bands, kp1d_rhs, kp1d_rhs_negative
-from quasikp.kp1d import _bisect, _sign_changes
+from quasikp._roots import chandrupatla
+from quasikp.kp1d import _ROOT_RTOL, _sign_changes
 
 
 class TestRhs:
@@ -67,10 +68,11 @@ class TestSignTests:
         # the product 1e-3 * -5e-324 underflows to -0.0, so a sign test by
         # product would walk away from the root to the bracket end
         def f(x):
-            return -5e-324 if x == 1.0 else 1e-3 * (1.0 - x)
+            return np.where(x == 1.0, -5e-324, 1e-3 * (1.0 - x))
 
-        root = _bisect(f, 0.0, 2.0, f(0.0), f(2.0))
-        assert root == pytest.approx(1.0, abs=1e-12)
+        root = chandrupatla(f, [0.0], [2.0], [f(0.0)], [f(2.0)],
+                            atol=0.0, rtol=_ROOT_RTOL)
+        assert root[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_scan_sign_changes_survive_underflow(self):
         vals = np.array([1e-200, -1e-200, 0.0, 3.0, -2.0, np.nan, 1.0])
