@@ -1,4 +1,9 @@
-"""Bracketed root refinement shared by the band solvers.
+"""Sign-change scans and bracketed root refinement for the whole package.
+
+Every root search in quasikp brackets its roots by a sign change and
+refines them here: the band solvers, the kp1d reference lattice, the
+single-impurity bound state, the atom-ion radius inversion, the node-count
+thresholds and the zeros and poles of a tabulated a(E).
 
 Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Softw. 28(3),
 145-149, 1997) on a whole array of brackets at once.  Each step tries
@@ -15,6 +20,18 @@ import numpy as np
 from .errors import PoleError, RootError
 
 _MAX_ITER = 200
+# refine roots to a few ulp; a step of rtol/2 |x| always reaches a new float
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Indices i where vals[i] and vals[i + 1] are non-zero of opposite sign.
+
+    Multiplies signs, not values: a product of two subnormal-sized
+    residuals would underflow to zero and hide the crossing.
+    """
+    s = np.sign(vals)
+    return np.nonzero(s[:-1] * s[1:] < 0.0)[0]
 
 
 def chandrupatla(f_vec, lo, hi, flo, fhi, *, atol: float,

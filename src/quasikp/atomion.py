@@ -24,6 +24,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dtbtrs
 
+from ._roots import _ROOT_RTOL, _sign_changes, chandrupatla
 from .errors import (
     DomainError,
     GridError,
@@ -115,15 +116,9 @@ def invert_a_of_b(a_target: float, n_bound: int = 1) -> float:
     f_hi = a_of_b(hi) - a_target
     if not (f_lo < 0.0 < f_hi):
         raise RootError("a(b) bracket failed; a_target beyond branch margin")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if a_of_b(mid) - a_target < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    f = lambda bs: [a_of_b(float(b)) - a_target for b in bs]
+    return float(chandrupatla(f, [lo], [hi], [f_lo], [f_hi], atol=0.0,
+                              rtol=_ROOT_RTOL)[0])
 
 
 def _numerov_integrate(g: np.ndarray, h: float) -> np.ndarray:
@@ -261,20 +256,22 @@ def numerov_node_count(b: float, *, k: float = 0.0, r_core: float = 50.0,
 
 
 def count_transition_b(lo: float, hi: float, *, k: float = 0.0) -> float:
-    """Bisect for the radius where the node count changes between lo and hi."""
+    """Radius between lo and hi where the node count changes, to 1e-6 relative.
+
+    The sign function is +1 where the count equals the count at hi and -1
+    elsewhere; on a two-valued function Chandrupatla's method always
+    bisects, one Numerov march per step.
+    """
     if not 0.0 < lo < hi:
         raise DomainError("need 0 < lo < hi")
     c_lo = numerov_node_count(lo, k=k)
     c_hi = numerov_node_count(hi, k=k)
     if c_lo == c_hi:
         raise RootError("node count does not change on [lo, hi]")
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if numerov_node_count(mid, k=k) == c_hi:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    f = lambda bs: [1.0 if numerov_node_count(float(b), k=k) == c_hi else -1.0
+                    for b in bs]
+    return float(chandrupatla(f, [lo], [hi], [-1.0], [1.0], atol=0.0,
+                              rtol=1e-6)[0])
 
 
 def _phase_shifts(b: float, ks, numerov_kw: dict) -> list[float]:
@@ -348,7 +345,7 @@ class ScatteringLengthTable:
         with np.errstate(divide="ignore", over="ignore"):
             a_grid = -np.tan(d) / np.sqrt(e)
         self._resonance_intervals = self._find_runs(np.abs(a_grid) > RESONANCE_A_CUT)
-        self.a_zero_energies = self._find_zero_crossings()
+        self.a_zero_energies = self._zeros_of(np.sin).tolist()
 
     @classmethod
     def from_potential(cls, b: float, *, e_min: float = 0.01, e_max: float = 6.0,
@@ -383,29 +380,20 @@ class ScatteringLengthTable:
                 i += 1
         return out
 
-    def _find_zero_crossings(self) -> list[float]:
-        s = np.sin(self.deltas)
-        roots = []
-        for i in range(s.size - 1):
-            if s[i] == 0.0:
-                roots.append(float(self.energies[i]))
-            elif s[i] * s[i + 1] < 0.0:
-                lo, hi = float(self.energies[i]), float(self.energies[i + 1])
-                f_lo = s[i]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    f_mid = math.sin(float(self._spline(mid)))
-                    if f_mid == 0.0:
-                        lo = hi = mid
-                        break
-                    if (f_mid > 0.0) == (f_lo > 0.0):
-                        lo, f_lo = mid, f_mid
-                    else:
-                        hi = mid
-                roots.append(0.5 * (lo + hi))
-        if s[-1] == 0.0:
-            roots.append(float(self.energies[-1]))
-        return roots
+    def _zeros_of(self, fn) -> np.ndarray:
+        """Sorted energies where fn(delta(E)) vanishes on the table range.
+
+        fn(delta) is continuous, so every sign change between neighbouring
+        samples holds a zero; each is refined on the interpolant.  Samples
+        where fn is exactly zero count too.  With fn = sin these are the
+        zeros of a(E), with fn = cos its poles.
+        """
+        e = self.energies
+        v = fn(self.deltas)
+        i = _sign_changes(v)
+        found = chandrupatla(lambda x: fn(self._spline(x)), e[i], e[i + 1],
+                             v[i], v[i + 1], atol=0.0, rtol=_ROOT_RTOL)
+        return np.sort(np.concatenate([e[v == 0.0], found]))
 
     def _check_range(self, e: np.ndarray):
         if np.any(e < self.e_min) or np.any(e > self.e_max):
@@ -456,42 +444,22 @@ def a_of_e_table(b: float, energies, **numerov_kw) -> ScatteringLengthTable:
 
 def find_resonance(table: ScatteringLengthTable, e_lo: float | None = None,
                    e_hi: float | None = None) -> float:
-    """First pole of a(E) in [e_lo, e_hi]: the zero of cot(delta0(E)).
+    """First pole of a(E) in [e_lo, e_hi]: the first zero of cos(delta0(E)).
 
-    cot changes sign both at poles of a (delta through pi/2, our target)
-    and at zeros of a (delta through a multiple of pi); the two are told
-    apart by |cot| being small near the former.
+    a(E) = -tan(delta0)/k has its poles exactly where cos(delta0) = 0, and
+    cos(delta0(E)) is continuous, so a sign change between two table
+    samples proves a pole between them; zeros of a(E) (sin(delta0) = 0)
+    cannot be mistaken for one.
     """
     lo = table.e_min if e_lo is None else max(e_lo, table.e_min)
     hi = table.e_max if e_hi is None else min(e_hi, table.e_max)
     if not lo < hi:
         raise DomainError("empty resonance search window")
-    mask = (table.energies >= lo) & (table.energies <= hi)
-    es = table.energies[mask]
-    if es.size < 3:
+    in_window = (table.energies >= lo) & (table.energies <= hi)
+    if np.count_nonzero(in_window) < 3:
         raise DomainError("too few table samples in the search window")
-    d = table.deltas[mask]
-    with np.errstate(divide="ignore"):
-        cot = np.cos(d) / np.sin(d)
-
-    def cot_of(e: float) -> float:
-        dd = float(table._spline(e))
-        return math.cos(dd) / math.sin(dd)
-
-    for i in range(es.size - 1):
-        if cot[i] * cot[i + 1] < 0.0:
-            a, bb = float(es[i]), float(es[i + 1])
-            if abs(cot_of(0.5 * (a + bb))) > 1.0:
-                continue  # pole of cot: a(E) zero, not a resonance
-            f_a = cot[i]
-            for _ in range(80):
-                mid = 0.5 * (a + bb)
-                f_mid = cot_of(mid)
-                if f_mid == 0.0:
-                    return mid
-                if (f_mid > 0.0) == (f_a > 0.0):
-                    a, f_a = mid, f_mid
-                else:
-                    bb = mid
-            return 0.5 * (a + bb)
-    raise RootError("no a(E) pole found in the window")
+    poles = table._zeros_of(np.cos)
+    poles = poles[(poles >= lo) & (poles <= hi)]
+    if poles.size == 0:
+        raise RootError("no a(E) pole found in the window")
+    return float(poles[0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import chandrupatla
+from ._roots import _sign_changes, chandrupatla
 from .errors import (
     DomainError,
     FitRankError,
@@ -114,64 +114,42 @@ def _thresholds_between(e_min: float, e_max: float) -> list[float]:
     return out
 
 
-def lattice_sum_pole_energies(theta: float, L: float, e_min: float,
-                              e_max: float) -> list[float]:
-    """Energies in (e_min, e_max) where an open channel has cos(k_n L) = cos(theta).
+def _free_levels(theta: float, L: float, e_min: float,
+                 e_max: float) -> list[tuple[float, float]]:
+    """Free quasi-1D levels E = 1 + 2n + K^2/2 in (e_min, e_max) at phase theta.
 
-    These are the poles of the propagating lattice sum, at
-    E = 1 + 2n + K^2/2 with K L = 2 pi j +/- theta > 0; they double as the
-    free node-state energies.
+    Returns (E, K L) pairs with K L = 2 pi j + theta (j >= 0) or
+    2 pi j - theta (j >= 1), theta folded to [0, pi].  Exact degeneracies
+    are kept as repeated entries: at theta = 0 and pi the +/-K branches
+    fold onto the same energy and both states exist.
     """
     theta = _fold_theta(theta)
-    out: list[float] = []
+    out: list[tuple[float, float]] = []
     n = 0
     while 1.0 + 2.0 * n < e_max:
         base = 1.0 + 2.0 * n
-        for sign in (1.0, -1.0):
-            j = 0
+        for sign, j in ((1.0, 0), (-1.0, 1)):
             while True:
                 knl = 2.0 * math.pi * j + sign * theta
-                j += 1
-                if knl <= 1e-12:
-                    continue
                 e = base + 0.5 * (knl / L) ** 2
                 if e >= e_max:
                     break
                 if e > e_min:
-                    out.append(e)
+                    out.append((e, knl))
+                j += 1
         n += 1
-    return _dedup_sorted(out, 1e-13)
+    return out
 
 
-def _free_levels_at_theta(theta: float, L: float, e_min: float,
-                          e_max: float) -> np.ndarray:
-    """Free quasi-1D spectrum at Bloch phase theta: E = 1 + 2n + K^2/2.
+def lattice_sum_pole_energies(theta: float, L: float, e_min: float,
+                              e_max: float) -> list[float]:
+    """Energies in (e_min, e_max) where an open channel has cos(k_n L) = cos(theta).
 
-    Exact degeneracies are kept as repeated entries: at theta = 0 and pi
-    the +/-K branches fold onto the same energy and both states exist.
+    These are the poles of the propagating lattice sum: the free levels
+    with K L > 0, which double as the free node-state energies.
     """
-    theta = _fold_theta(theta)
-    kl_max = L * math.sqrt(max(0.0, 2.0 * (e_max - 1.0)))
-    kls: list[float] = []
-    j = 0
-    while 2.0 * math.pi * j + theta <= kl_max:
-        kls.append(2.0 * math.pi * j + theta)
-        j += 1
-    j = 1
-    while 2.0 * math.pi * j - theta <= kl_max:
-        kls.append(2.0 * math.pi * j - theta)
-        j += 1
-    levels: list[float] = []
-    n = 0
-    while 1.0 + 2.0 * n < e_max:
-        base = 1.0 + 2.0 * n
-        levels.extend(
-            base + 0.5 * (kl / L) ** 2
-            for kl in kls
-            if e_min < base + 0.5 * (kl / L) ** 2 < e_max
-        )
-        n += 1
-    return np.sort(np.array(levels))
+    levels = _free_levels(theta, L, e_min, e_max)
+    return _dedup_sorted([e for e, knl in levels if knl > 1e-12], 1e-13)
 
 
 def _residual_curve(es: np.ndarray, theta: float, config: ModelConfig):
@@ -202,7 +180,7 @@ def band_energies_at_theta(theta: float, config: ModelConfig, *,
     th = _fold_theta(theta)
 
     if getattr(model, "is_free", False):
-        return _free_levels_at_theta(th, L, e_min, e_max)
+        return np.array(sorted(e for e, _ in _free_levels(th, L, e_min, e_max)))
 
     breaks = [e_min, e_max]
     breaks += _thresholds_between(e_min, e_max)
@@ -228,9 +206,8 @@ def band_energies_at_theta(theta: float, config: ModelConfig, *,
         es, fs = _residual_curve(np.linspace(a, b, scan_points), th, config)
         if es.size < 2:
             continue
-        s = np.sign(fs)
-        roots.extend(float(e) for e in es[s == 0.0])
-        flips = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
+        roots.extend(float(e) for e in es[fs == 0.0])
+        flips = _sign_changes(fs)
         if flips.size:
             lo_list.append(es[flips])
             hi_list.append(es[flips + 1])

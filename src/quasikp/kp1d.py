@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import chandrupatla
+from ._roots import _ROOT_RTOL, _sign_changes, chandrupatla
 from .errors import ConfigError, RootError
 
-# refine roots to a few ulp; a step of rtol/2 |k| always reaches a new float
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
 _RHS_TOL = 1e-10  # |rhs - cos(theta)| at an accepted root
 _NODE_TOL = 1e-12
 
@@ -88,16 +86,6 @@ def _scaled_negative_residual(kappa, params: Kp1dParams, cos_theta: float):
     if kappa.ndim == 0:
         return float(out)
     return out
-
-
-def _sign_changes(vals: np.ndarray) -> np.ndarray:
-    """Indices i where vals[i] and vals[i + 1] are non-zero of opposite sign.
-
-    Multiplies signs, not values: a product of two subnormal-sized
-    residuals would underflow to zero and hide the crossing.
-    """
-    s = np.sign(vals)
-    return np.nonzero(s[:-1] * s[1:] < 0.0)[0]
 
 
 def _scan_grid(lo: float, hi: float, scan_points: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from typing import Union
 
 import numpy as np
 
+from ._roots import _ROOT_RTOL, chandrupatla
 from .errors import (
     ConfigError,
     DomainError,
@@ -384,8 +385,8 @@ def single_impurity_bound_energy(model: ScatteringModel) -> float:
     if getattr(model, "is_free", False):
         raise DomainError("free model has no bound state")
 
-    def g(E: float) -> float:
-        return float(c_of_e(E)) - float(model.inv_a_of(E))
+    def g(E):
+        return c_of_e(E) - model.inv_a_of(E)
 
     hi = 1.0 - 1e-8
     g_hi = g(hi)
@@ -398,15 +399,5 @@ def single_impurity_bound_energy(model: ScatteringModel) -> float:
         if lo < -1e12:
             raise DomainError("bound-state bracket search ran away")
         g_lo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_mid > 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    return 0.5 * (lo + hi)
+    return float(chandrupatla(g, [lo], [hi], [g_lo], [g_hi], atol=0.0,
+                              rtol=_ROOT_RTOL)[0])

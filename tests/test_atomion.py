@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from quasikp import (
@@ -100,6 +102,18 @@ class TestClosedForms:
         assert a_of_b(b_minus) == pytest.approx(-1.0, abs=1e-10)
         # branches live between consecutive thresholds
         assert threshold_b(2) < b_minus < b_plus < threshold_b(1)
+
+    # |a| >= 0.01: on the outermost branch a(b) ~ -pi/(4b) comes from cos
+    # near pi/2, so its own round-off grows like eps/a^2 relative
+    @settings(max_examples=60, deadline=None)
+    @given(mag=st.floats(0.01, 50.0), negative=st.booleans(),
+           n=st.sampled_from([0, 1, 2]))
+    def test_invert_round_trip(self, mag, negative, n):
+        a = -mag if negative else mag
+        assume(n > 0 or a < 0.0)  # with no bound state a(0) < 0
+        b = invert_a_of_b(a, n)
+        assert bound_state_count(b) == n
+        assert a_of_b(b) == pytest.approx(a, rel=1e-10)
 
     def test_invert_outermost_branch(self):
         b = invert_a_of_b(-2.0, 0)
@@ -318,6 +332,20 @@ class TestScatteringLengthTable:
         assert pole == pytest.approx(3.8, abs=0.1)
         with pytest.raises(RootError):
             find_resonance(table, 0.6, 1.5)
+
+    def test_find_resonance_skips_a_zero(self):
+        # delta crosses pi near E = 2 (a zero of a(E)) and 3 pi / 2 near
+        # E = 3.57 (the pole); the interpolant puts delta(2.5) at pi + 0.82,
+        # where |cot delta| < 1, which a |cot| filter mistakes for a pole
+        table = ScatteringLengthTable(
+            0.4, [1.0, 2.0, 3.0, 4.0, 5.0],
+            [math.pi - 0.5, math.pi - 0.001, math.pi + 1.5, math.pi + 1.6,
+             math.pi + 1.65],
+        )
+        assert table.a_zero_energies == [pytest.approx(2.0013, abs=1e-4)]
+        pole = find_resonance(table)
+        assert pole == pytest.approx(3.5689, abs=1e-4)
+        assert math.cos(table.delta_of_e(pole)) == pytest.approx(0.0, abs=1e-12)
 
     def test_explicit_energy_grid(self):
         es = np.linspace(0.3, 1.5, 7)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from quasikp import ConfigError, Kp1dParams, kp1d_bands, kp1d_rhs, kp1d_rhs_negative
-from quasikp._roots import chandrupatla
-from quasikp.kp1d import _ROOT_RTOL, _sign_changes
+from quasikp._roots import _ROOT_RTOL, _sign_changes, chandrupatla
 
 
 class TestRhs:

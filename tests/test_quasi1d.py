@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasikp import (
@@ -330,10 +330,13 @@ class TestA1dEff:
 
 class TestSingleImpurityBoundEnergy:
     # frozen from the defining condition a1d(E_b) = 0 (verified below)
+    # C(0) = 1/a puts the root at E = 0, where rtol * |E| vanishes
+    A_ROOT_AT_ZERO = 1.0 / float(c_of_e(0.0))
     CASES = {
         0.5: -1.9609323580231002,
         -0.5: 0.8422293560603815,
         2.0: 0.08412955533399569,
+        A_ROOT_AT_ZERO: 0.0,
     }
 
     def test_frozen_values(self):
@@ -341,11 +344,16 @@ class TestSingleImpurityBoundEnergy:
             m = ConstantScatteringLength(a)
             assert single_impurity_bound_energy(m) == pytest.approx(eb, abs=1e-10)
 
-    def test_defining_condition(self):
-        for a in self.CASES:
-            m = ConstantScatteringLength(a)
-            eb = single_impurity_bound_energy(m)
-            assert abs(a1d_of_e(eb, m)) < 1e-10
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.01, 50.0) | st.floats(-50.0, -0.01))
+    @example(a=0.5)
+    @example(a=-0.5)
+    @example(a=2.0)
+    @example(a=A_ROOT_AT_ZERO)
+    def test_defining_condition(self, a):
+        m = ConstantScatteringLength(a)
+        eb = single_impurity_bound_energy(m)
+        assert abs(c_of_e(eb) - 1.0 / a) <= 1e-10 * max(1.0, 1.0 / abs(a))
 
     def test_small_a_dimer_limit(self):
         # free-space dimer: E_b -> 1 - 1/(2 a^2) + O(a) for small a > 0
