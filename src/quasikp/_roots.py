@@ -34,18 +34,21 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
     return np.nonzero(s[:-1] * s[1:] < 0.0)[0]
 
 
-def chandrupatla(f_vec, lo, hi, flo, fhi, *, atol: float,
-                 rtol: float) -> np.ndarray:
+def chandrupatla(f_vec, lo, hi, flo, fhi, *, atol: float, rtol: float,
+                 args=()) -> np.ndarray:
     """One root inside every bracket [lo, hi]; f_vec takes an array.
 
     ``flo`` and ``fhi`` are f at the bracket ends, of opposite sign or
-    zero.  A bracket is done when its width is at most
+    zero.  ``args`` holds per-bracket arrays (one entry per bracket each);
+    they are compacted with the open brackets, and f is called as
+    ``f_vec(x, *args)``.  A bracket is done when its width is at most
     max(atol, rtol |midpoint|) or f is exactly zero at one of its ends, and
     its root is the end with the smaller |f|.  Raises PoleError if f is
     NaN at a point inside a bracket and RootError if a bracket is still
     open after ``_MAX_ITER`` steps.
     """
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    args = tuple(np.asarray(a) for a in args)
     x3, f3 = x2, f2  # unread until the first step, which bisects
     t = np.full(x1.shape, 0.5)
     idx = np.arange(x1.size)
@@ -62,10 +65,11 @@ def chandrupatla(f_vec, lo, hi, flo, fhi, *, atol: float,
             keep = ~done
             x1, x2, x3, f1, f2, f3, t, idx, dx, tol = (
                 v[keep] for v in (x1, x2, x3, f1, f2, f3, t, idx, dx, tol))
+            args = tuple(a[keep] for a in args)
         # a step of at least tol/2 from either end keeps every step useful
         tl = 0.5 * tol / dx
         x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-        f = np.asarray(f_vec(x), dtype=float)
+        f = np.asarray(f_vec(x, *args), dtype=float)
         bad = np.isnan(f)
         if bad.any():
             raise PoleError(

@@ -65,15 +65,16 @@ def a_of_b(b: float) -> float:
     """Zero-energy scattering length sqrt(1+b^2) cot(pi/2 sqrt(1+1/b^2)).
 
     Monotonically increasing on each interval between consecutive poles
-    b_{n+1} < b < b_n; returns +inf on an exact pole hit.
+    b_{n+1} < b < b_n.  Evaluated as -sqrt(1+b^2) tan(x) with the
+    cotangent's argument written pi/2 + x, x = (pi/2)(1/b^2) /
+    (sqrt(1+1/b^2) + 1): for large b, x ~ pi/(4 b^2) keeps its relative
+    accuracy where pi/2 + x would lose it to cancellation.
     """
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError("regularization radius b must be > 0")
-    arg = 0.5 * math.pi * math.sqrt(1.0 + 1.0 / (b * b))
-    s = math.sin(arg)
-    if s == 0.0:  # pragma: no cover - needs an exact float coincidence
-        return math.inf
-    return math.sqrt(1.0 + b * b) * math.cos(arg) / s
+    inv2 = 1.0 / (b * b)
+    x = 0.5 * math.pi * inv2 / (math.sqrt(1.0 + inv2) + 1.0)
+    return -math.sqrt(1.0 + b * b) * math.tan(x)
 
 
 def bound_state_count(b: float) -> int:

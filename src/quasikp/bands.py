@@ -5,10 +5,13 @@ residual from :mod:`quasikp.quasi1d`.  The residual is smooth except at
 transverse thresholds E = 1 + 2n, at poles of the propagating lattice sum
 (where some open channel has cos(k_n L) = cos(theta)), and, for energy
 dependent models, where a(E) crosses zero.  The search window is split at
-all of those points, each piece is scanned densely in one vectorised
-residual call (grid points on a pole come back NaN and are dropped), and
-the sign changes of all pieces are refined together by Chandrupatla's
-method (:func:`quasikp._roots.chandrupatla`).  Node states sin(K z) with
+all of those points and each piece is scanned on a dense grid.  All the
+phases of a request are solved as one batch: the residual runs on the
+grids of whole pieces, several pieces and phases per call and at most
+_SLICE_POINTS points (grid points on a pole come back NaN and are
+dropped), and the sign changes of all pieces and phases are refined in
+one call of Chandrupatla's method (:func:`quasikp._roots.chandrupatla`),
+each bracket carrying its own theta.  Node states sin(K z) with
 K L = 2 pi j +/- theta vanish on every impurity and are eigenstates at any
 coupling, but they sit exactly on lattice-sum poles where the residual
 cannot see them: at theta = 0 and theta = pi they are injected by hand.
@@ -40,6 +43,8 @@ GUARD = 1e-8
 SCAN_POINTS = 200
 BISECT_TOL = 1e-12
 _DEDUP_TOL = 1e-9
+# largest residual call of the band scan (whole pieces of SCAN_POINTS)
+_SLICE_POINTS = 2048
 # minimum allowed jump per theta step, before the slope-based guards kick in
 _JUMP_FLOOR = 0.05
 
@@ -152,23 +157,26 @@ def lattice_sum_pole_energies(theta: float, L: float, e_min: float,
     return _dedup_sorted([e for e, knl in levels if knl > 1e-12], 1e-13)
 
 
-def _residual_curve(es: np.ndarray, theta: float, config: ModelConfig):
-    """Residual on a grid in one vectorised call; pole points are dropped.
-
-    The residual is NaN where the grid touches a lattice-sum pole and
-    infinite where an energy-dependent a(E) crosses zero; only the finite
-    points are kept.
-    """
-    fs = np.asarray(dispersion_residual(es, theta, config), dtype=float)
-    keep = np.isfinite(fs)
-    return es[keep], fs[keep]
-
-
 def band_energies_at_theta(theta: float, config: ModelConfig, *,
                            e_min: float | None = None,
                            e_max: float | None = None,
                            scan_points: int = SCAN_POINTS) -> np.ndarray:
     """All band energies at one Bloch phase, sorted ascending."""
+    return _band_energies_batch([theta], config, e_min=e_min, e_max=e_max,
+                                scan_points=scan_points)[0]
+
+
+def _band_energies_batch(thetas, config: ModelConfig, *,
+                         e_min: float | None = None,
+                         e_max: float | None = None,
+                         scan_points: int = SCAN_POINTS) -> list[np.ndarray]:
+    """Band energies at every Bloch phase of ``thetas``, one array each.
+
+    Every phase gets its own breakpoints and scan pieces.  The residual
+    runs on whole pieces, at most _SLICE_POINTS points per call, and one
+    call may mix phases; the brackets of every phase are then refined in
+    one Chandrupatla call.
+    """
     model = config.scattering
     L = float(config.lattice_spacing)
     if e_min is None:
@@ -177,55 +185,68 @@ def band_energies_at_theta(theta: float, config: ModelConfig, *,
         e_max = config.energy_window[1]
     if not e_min < e_max:
         raise DomainError("need e_min < e_max")
-    th = _fold_theta(theta)
+    ths = [_fold_theta(th) for th in thetas]
 
     if getattr(model, "is_free", False):
-        return np.array(sorted(e for e, _ in _free_levels(th, L, e_min, e_max)))
+        return [np.array(sorted(e for e, _ in _free_levels(th, L, e_min, e_max)))
+                for th in ths]
 
-    breaks = [e_min, e_max]
-    breaks += _thresholds_between(e_min, e_max)
-    breaks += lattice_sum_pole_energies(th, L, e_min, e_max)
+    fixed = [e_min, e_max] + _thresholds_between(e_min, e_max)
     zeros_fn = getattr(model, "a_zero_energies_ho", None)
     if zeros_fn is not None:
-        breaks += [z for z in zeros_fn() if e_min < z < e_max]
-    breaks = _dedup_sorted(breaks, 1e-13)
+        fixed += [z for z in zeros_fn() if e_min < z < e_max]
 
-    def f_vec(es):
-        return dispersion_residual(es, th, config)
+    starts: list[float] = []
+    stops: list[float] = []
+    owners: list[int] = []  # the phase of each piece
+    for i, th in enumerate(ths):
+        breaks = _dedup_sorted(
+            fixed + lattice_sum_pole_energies(th, L, e_min, e_max), 1e-13)
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            if (hi - GUARD) - (lo + GUARD) > GUARD:
+                starts.append(lo + GUARD)
+                stops.append(hi - GUARD)
+                owners.append(i)
 
-    roots: list[float] = []
-    lo_list: list[np.ndarray] = []
-    hi_list: list[np.ndarray] = []
-    flo_list: list[np.ndarray] = []
-    fhi_list: list[np.ndarray] = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        a = lo + GUARD
-        b = hi - GUARD
-        if b - a <= GUARD:
-            continue
-        es, fs = _residual_curve(np.linspace(a, b, scan_points), th, config)
-        if es.size < 2:
-            continue
-        roots.extend(float(e) for e in es[fs == 0.0])
+    roots: list[list[float]] = [[] for _ in ths]
+    owners = np.asarray(owners, dtype=int)
+    phase = np.asarray(ths)[owners]  # per piece
+    brackets = []
+    per_call = max(1, _SLICE_POINTS // scan_points)  # whole pieces per call
+    for p0 in range(0, owners.size, per_call):
+        pcs = slice(p0, p0 + per_call)
+        es = np.linspace(starts[pcs], stops[pcs], scan_points, axis=1)
+        fs = dispersion_residual(es, phase[pcs, None], config).ravel()
+        # the residual is NaN where the grid touches a lattice-sum pole and
+        # infinite where an energy-dependent a(E) crosses zero; only finite
+        # points are kept, and a piece needs two of them
+        keep = np.isfinite(fs)
+        es, fs = es.ravel()[keep], fs[keep]
+        piece = p0 + np.flatnonzero(keep) // scan_points
+        zero = np.flatnonzero(fs == 0.0)
+        zero = zero[np.bincount(piece - p0)[piece[zero] - p0] >= 2]
+        for p, e in zip(piece[zero], es[zero]):
+            roots[owners[p]].append(float(e))
         flips = _sign_changes(fs)
-        if flips.size:
-            lo_list.append(es[flips])
-            hi_list.append(es[flips + 1])
-            flo_list.append(fs[flips])
-            fhi_list.append(fs[flips + 1])
-    if lo_list:
-        # one vectorised solve across every bracket of every piece
-        found = chandrupatla(f_vec, np.concatenate(lo_list),
-                             np.concatenate(hi_list), np.concatenate(flo_list),
-                             np.concatenate(fhi_list), atol=BISECT_TOL,
-                             rtol=1e-14)
-        roots.extend(float(r) for r in found)
+        flips = flips[piece[flips] == piece[flips + 1]]
+        brackets.append((es[flips], es[flips + 1], fs[flips], fs[flips + 1],
+                         piece[flips]))
+    if brackets:
+        lo, hi, flo, fhi, piece = (np.concatenate(c) for c in zip(*brackets))
+        # one vectorised solve across every bracket of every phase
+        found = chandrupatla(
+            lambda e, th: dispersion_residual(e, th, config), lo, hi, flo, fhi,
+            atol=BISECT_TOL, rtol=1e-14, args=(phase[piece],))
+        for i, r in zip(owners[piece], found):
+            roots[i].append(float(r))
 
-    if abs(math.sin(th)) < 1e-12:
-        # node states are invisible to the residual: inject them
-        roots += lattice_sum_pole_energies(th, L, e_min, e_max)
-
-    return np.array(_dedup_sorted(roots, _DEDUP_TOL))
+    out = []
+    for th, rs in zip(ths, roots):
+        if abs(math.sin(th)) < 1e-12:
+            # node states are invisible to the residual: inject them
+            rs += lattice_sum_pole_energies(th, L, e_min, e_max)
+        out.append(np.array(_dedup_sorted(rs, _DEDUP_TOL)))
+    return out
 
 
 def _last_two_finite(values: list[float]):
@@ -341,8 +362,8 @@ def solve_bands(config: ModelConfig, n_bands: int = 4, *,
     else:
         theta_grid = np.asarray(theta_grid, dtype=float)
 
-    roots_list = [band_energies_at_theta(th, config, e_min=e_min, e_max=e_max)
-                  for th in theta_grid]
+    roots_list = _band_energies_batch(theta_grid, config, e_min=e_min,
+                                      e_max=e_max)
     tracks, flags = _group_tracks(theta_grid, roots_list,
                                   config.lattice_spacing)
     if len(tracks) < n_bands:
@@ -458,9 +479,7 @@ def band_edges_vs_a(a_values, L: float, *,
         e_lo = min(e_b - 0.5, 0.5)
         config = ModelConfig(lattice_spacing=L, scattering=model,
                              energy_window=(e_lo, e_hi))
-        r0 = band_energies_at_theta(0.0, config)
-        rpi = band_energies_at_theta(math.pi, config)
-        return r0, rpi
+        return _band_energies_batch([0.0, math.pi], config)
 
     rows: list[BandEdgeRow] = []
     results = [_guarded(edges_for, float(a)) for a in a_values]

@@ -37,7 +37,7 @@ from .greens_oracle import (
     lambda_bruteforce_reduced,
     zeta_half_bruteforce,
 )
-from .kp1d import Kp1dParams, kp1d_bands
+from .kp1d import Kp1dParams, kp1d_bands_batch
 from .quasi1d import (
     ConstantScatteringLength,
     EnergyDependentScatteringLength,
@@ -201,8 +201,7 @@ def cmd_bands(args) -> int:
         g = 0.0 if const_model.is_free else -1.0 / a1d_of_e(1.0, const_model)
         params = Kp1dParams(g1d=g, L=L)
         thetas = np.linspace(0.0, math.pi, theta_points)
-        kp_rows = [kp1d_bands(params, float(th), n_bands) for th in thetas]
-        for th, es in zip(thetas, kp_rows):
+        for th, es in zip(thetas, kp1d_bands_batch(params, thetas, n_bands)):
             rows += [("kp1d-reduced", float(th), i, 1.0 + float(e))
                      for i, e in enumerate(es)]
 

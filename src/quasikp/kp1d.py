@@ -101,54 +101,70 @@ def _scan_grid(lo: float, hi: float, scan_points: int) -> np.ndarray:
     return np.unique(ks)
 
 
-def _refine(f, ks: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Roots inside every sign change of the scan, refined in one call."""
-    i = _sign_changes(vals)
-    found = chandrupatla(f, ks[i], ks[i + 1], vals[i], vals[i + 1],
-                         atol=0.0, rtol=_ROOT_RTOL)
-    return found.tolist()
+def _refine_rows(f, ks: np.ndarray, vals: np.ndarray,
+                 cos_t: np.ndarray) -> list[list[float]]:
+    """Roots inside every sign change of every row of the scan.
+
+    Row r of ``vals`` is the scan at phase r; the brackets of all rows are
+    refined in one call, each with its own cos(theta).
+    """
+    n = ks.size
+    flat = _sign_changes(vals.ravel())
+    flat = flat[flat % n != n - 1]  # no bracket across two rows
+    rows, i = flat // n, flat % n
+    found = chandrupatla(f, ks[i], ks[i + 1], vals[rows, i], vals[rows, i + 1],
+                         atol=0.0, rtol=_ROOT_RTOL, args=(cos_t[rows],))
+    out: list[list[float]] = [[] for _ in cos_t]
+    for r, k in zip(rows.tolist(), found.tolist()):
+        out[r].append(k)
+    return out
 
 
-def _positive_roots(params: Kp1dParams, cos_theta: float, n_intervals: int,
-                    scan_points: int = 240) -> list[float]:
-    """Roots of rhs(k) = cos(theta) for k >= 0, interval by interval.
+def _positive_roots(params: Kp1dParams, cos_t: np.ndarray, n_intervals: int,
+                    scan_points: int = 240) -> list[list[float]]:
+    """Roots of rhs(k) = cos(theta) for k >= 0, one list per phase.
 
     Interval j is (j*pi/L, (j+1)*pi/L); a dense endpoint-refined scan of
     every interval finds each transversal crossing, and Chandrupatla's
-    method (:func:`quasikp._roots.chandrupatla`) refines all of them in one
-    call.  At the nodes kL = m*pi the rhs equals (-1)^m exactly (the delta
-    term vanishes), so when cos(theta) matches that value the node is a
-    root the scan can only touch tangentially; those roots are added
-    analytically.
+    method (:func:`quasikp._roots.chandrupatla`) refines all of them, for
+    every phase, in one call.  The scan and rhs(k) do not depend on the
+    phase and are computed once.  At the nodes kL = m*pi the rhs equals
+    (-1)^m exactly (the delta term vanishes), so when cos(theta) matches
+    that value the node is a root the scan can only touch tangentially;
+    those roots are added analytically.
     """
     L = params.L
-    roots: list[float] = []
-    for m in range(n_intervals + 1):
-        rhs_node = (1.0 if m % 2 == 0 else -1.0) + (params.g1d * L if m == 0 else 0.0)
-        if abs(rhs_node - cos_theta) < _NODE_TOL:
-            roots.append(m * np.pi / L)
     # the interval grids share only their end nodes, so the merged grid
     # holds the same brackets as the separate scans
     ks = np.unique(np.concatenate([
         _scan_grid(j * np.pi / L, (j + 1) * np.pi / L, scan_points)
         for j in range(n_intervals)
     ]))
-    f = lambda k: kp1d_rhs(k, params) - cos_theta
-    return roots + _refine(f, ks, f(ks))
+    f = lambda k, c: kp1d_rhs(k, params) - c
+    roots = _refine_rows(f, ks, kp1d_rhs(ks, params) - cos_t[:, None], cos_t)
+    for r, c in enumerate(cos_t):
+        for m in range(n_intervals + 1):
+            rhs_node = (1.0 if m % 2 == 0 else -1.0) + (params.g1d * L if m == 0 else 0.0)
+            if abs(rhs_node - c) < _NODE_TOL:
+                roots[r].append(m * np.pi / L)
+    return roots
 
 
-def _negative_roots(params: Kp1dParams, cos_theta: float,
-                    scan_points: int = 400) -> list[float]:
+def _negative_roots(params: Kp1dParams, cos_t: np.ndarray,
+                    scan_points: int = 400) -> list[list[float]]:
     """Bound-band roots kappa > 0 of the continued dispersion (g1d < 0 only)."""
     if params.g1d >= 0.0:
         # cosh + g*sinh/kappa > 1 >= cos(theta) for g >= 0: no bound band
-        return []
+        return [[] for _ in cos_t]
     kappa_hi = max(2.0 * abs(params.g1d), 4.0 / params.L)
-    f = lambda kap: _scaled_negative_residual(kap, params, cos_theta)
+    f = lambda kap, c: _scaled_negative_residual(kap, params, c)
     ks = _scan_grid(0.0, kappa_hi, scan_points)
-    vals = f(ks)
-    exact = (vals[:-1] == 0.0) & (ks[:-1] > 0.0)
-    return [float(k) for k in ks[:-1][exact]] + _refine(f, ks, vals)
+    vals = f(ks, cos_t[:, None])
+    roots = _refine_rows(f, ks, vals, cos_t)
+    exact = (vals[:, :-1] == 0.0) & (ks[:-1] > 0.0)
+    for r, i in zip(*np.nonzero(exact)):
+        roots[r].append(float(ks[i]))
+    return roots
 
 
 def kp1d_bands(params: Kp1dParams, theta: float, n_bands: int) -> list[float]:
@@ -159,41 +175,49 @@ def kp1d_bands(params: Kp1dParams, theta: float, n_bands: int) -> list[float]:
     is attractive.  Raises RootError if a converged root fails the
     residual check.
     """
+    return kp1d_bands_batch(params, [theta], n_bands)[0]
+
+
+def kp1d_bands_batch(params: Kp1dParams, thetas,
+                     n_bands: int) -> list[list[float]]:
+    """:func:`kp1d_bands` at every phase of ``thetas``, solved together."""
     if n_bands < 1:
         raise ConfigError(["n_bands must be >= 1"])
-    if not math.isfinite(theta):
+    thetas = [float(th) for th in thetas]
+    if not all(math.isfinite(th) for th in thetas):
         raise ConfigError(["theta must be finite"])
-    cos_theta = math.cos(theta)
-
-    energies: list[float] = []
-    for kappa in _negative_roots(params, cos_theta):
-        if kappa > 0.0:
-            energies.append(-0.5 * kappa * kappa)
-    for k in _positive_roots(params, cos_theta, n_intervals=n_bands + 2):
-        energies.append(0.5 * k * k)
-
-    # dedupe: node roots can also be caught by a neighboring bracket
-    energies.sort()
-    unique: list[float] = []
-    for e in energies:
-        if not unique or abs(e - unique[-1]) > 1e-9 * (1.0 + abs(e)):
-            unique.append(e)
+    cos_t = np.array([math.cos(th) for th in thetas])
+    negative = _negative_roots(params, cos_t)
+    positive = _positive_roots(params, cos_t, n_intervals=n_bands + 2)
 
     # rounding in k*L grows with the coupling, so scale the sanity tolerance
     resid_tol = _RHS_TOL * (1.0 + abs(params.g1d) * params.L)
-    for e in unique[:n_bands]:
-        if e >= 0.0:
-            resid = abs(kp1d_rhs(math.sqrt(2.0 * e), params) - cos_theta)
-        else:
-            # the raw form loses all precision for deep roots (cosh ~ 1e60),
-            # so check the exp(-kappa L)-scaled equation, which shares its zeros
-            resid = abs(_scaled_negative_residual(math.sqrt(-2.0 * e), params, cos_theta))
-        if resid > resid_tol:
+    out = []
+    for theta, c, kappas, ks in zip(thetas, cos_t, negative, positive):
+        energies = [-0.5 * kappa * kappa for kappa in kappas if kappa > 0.0]
+        energies += [0.5 * k * k for k in ks]
+        # dedupe: node roots can also be caught by a neighboring bracket
+        energies.sort()
+        unique: list[float] = []
+        for e in energies:
+            if not unique or abs(e - unique[-1]) > 1e-9 * (1.0 + abs(e)):
+                unique.append(e)
+
+        for e in unique[:n_bands]:
+            if e >= 0.0:
+                resid = abs(kp1d_rhs(math.sqrt(2.0 * e), params) - c)
+            else:
+                # the raw form loses all precision for deep roots (cosh ~
+                # 1e60), so check the exp(-kappa L)-scaled equation, which
+                # shares its zeros
+                resid = abs(_scaled_negative_residual(math.sqrt(-2.0 * e), params, c))
+            if resid > resid_tol:
+                raise RootError(
+                    f"kp1d root at E={e!r} (theta={theta!r}) has residual {resid:.3e}"
+                )
+        if len(unique) < n_bands:
             raise RootError(
-                f"kp1d root at E={e!r} (theta={theta!r}) has residual {resid:.3e}"
+                f"found only {len(unique)} bands of {n_bands} requested at theta={theta!r}"
             )
-    if len(unique) < n_bands:
-        raise RootError(
-            f"found only {len(unique)} bands of {n_bands} requested at theta={theta!r}"
-        )
-    return unique[:n_bands]
+        out.append(unique[:n_bands])
+    return out

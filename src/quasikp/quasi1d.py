@@ -42,6 +42,8 @@ from .specfun import h_series, hurwitz_zeta_half
 
 TOL_THRESHOLD = 1e-9
 TOL_POLE = 1e-9
+# largest channels x points block of the closed-channel sum
+_BLOCK_ELEMENTS = 2**14
 
 
 def olshanii_constant() -> float:
@@ -114,26 +116,35 @@ def c_of_e(E):
     return -hurwitz_zeta_half(1.0 - 0.5 * eps)
 
 
-def lambda_p(E, theta: float, L: float):
-    """Open-channel lattice sum; scalar theta, scalar or ndarray E.
+def _check_theta_l(theta, L: float) -> np.ndarray:
+    th = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(th)) or not (math.isfinite(L) and L > 0.0):
+        raise DomainError("theta must be finite and L positive")
+    return th
 
-    Sum over open channels of sin(k_n L) / (2 k_n L (cos theta - cos k_n L)).
+
+def lambda_p(E, theta, L: float):
+    """Open-channel lattice sum; theta and E scalars or arrays.
+
+    An array theta is broadcast against E element by element, so each
+    energy can carry its own Bloch phase.  Sum over open channels of
+    sin(k_n L) / (2 k_n L (cos theta - cos k_n L)).
     Empty (zero) below the lowest threshold.  A pole sits where a free
     lattice band passes, k_n L = +/-theta (mod 2 pi); a point lies on it
     when min |sin((k_n L +/- theta)/2)| < TOL_POLE/2, i.e. within about
-    TOL_POLE in phase.  An ndarray E gives NaN at such points; a scalar E
-    raises PoleError naming the channel.
+    TOL_POLE in phase.  Array input gives NaN at such points; scalar E
+    and theta raise PoleError naming the channel.
     """
     arr = np.asarray(E, dtype=float)
     n_star, _ = _branch_offsets(arr)
-    if not math.isfinite(theta) or not (math.isfinite(L) and L > 0.0):
-        raise DomainError("theta must be finite and L positive")
-    out = np.zeros(arr.shape)
+    th = _check_theta_l(theta, L)
+    out = np.zeros(np.broadcast_shapes(arr.shape, th.shape))
     n_top = int(n_star.max()) if arr.size else -1
-    half_t = 0.5 * theta
-    # closed channels and pole points give inf/NaN terms: `mask` drops the
-    # former, the latter leave NaN in `out`
-    with np.errstate(invalid="ignore", divide="ignore"):
+    half_t = 0.5 * th
+    # closed channels and pole points give inf/NaN terms (a closed channel
+    # overflows for |theta| < ~1e-154): `mask` drops the former, the latter
+    # leave NaN in `out`
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for n in range(0, n_top + 1):
             mask = n_star >= n
             kn = 2.0 * np.sqrt(np.maximum((arr - 1.0) / 2.0 - n, 0.0))
@@ -143,14 +154,14 @@ def lambda_p(E, theta: float, L: float):
             s_minus = np.sin(0.5 * knL - half_t)
             hit = mask & (np.minimum(np.abs(s_plus), np.abs(s_minus))
                           < 0.5 * TOL_POLE)
-            if arr.ndim == 0 and hit:
+            if out.ndim == 0 and hit:
                 raise PoleError(
                     f"open-channel pole cos(theta) = cos(k_n L) in channel n={n}",
                     channel=n,
                 )
             term = 0.25 * np.sinc(knL / np.pi) / (s_plus * s_minus)
             out = np.where(mask, out + np.where(hit, math.nan, term), out)
-    return float(out) if arr.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _re_geometric(t, cos_t):
@@ -158,23 +169,27 @@ def _re_geometric(t, cos_t):
     return (t * t - t * cos_t) / (1.0 - 2.0 * t * cos_t + t * t)
 
 
-def lambda_e(E, theta: float, L: float, *, rel_tol: float = 1e-14,
+def lambda_e(E, theta, L: float, *, rel_tol: float = 1e-14,
              max_terms: int = 10**6):
-    """Closed-channel lattice sum; scalar theta, scalar or ndarray E.
+    """Closed-channel lattice sum; theta and E scalars or arrays.
 
-    Sum over closed channels of Re[1/(1 - e^{k_n L + i theta})]/(k_n L)
+    An array theta is broadcast against E element by element.  Sum over
+    closed channels of Re[1/(1 - e^{k_n L + i theta})]/(k_n L)
     with k_n = 2*sqrt(n - eps/2).  Converges like exp(-2 sqrt(n) L); the
     sum is truncated once the newest term drops below rel_tol of the
-    running total, with a hard cap that emits PrecisionWarning.
+    running total, with a hard cap that emits PrecisionWarning.  Terms
+    are summed in blocks of at most _BLOCK_ELEMENTS (channels x points).
     """
-    arr = np.atleast_1d(np.asarray(E, dtype=float)).ravel()
+    e_arr = np.asarray(E, dtype=float)
+    th = _check_theta_l(theta, L)
+    shape = np.broadcast_shapes(e_arr.shape, th.shape)
+    arr = np.broadcast_to(e_arr, shape).ravel()
     _, eps = _branch_offsets(arr)
-    if not math.isfinite(theta) or not (math.isfinite(L) and L > 0.0):
-        raise DomainError("theta must be finite and L positive")
-    cos_t = math.cos(theta)
+    cos_t = np.broadcast_to(np.cos(th), shape).ravel()
     total = np.zeros(arr.shape)
     n = 1
-    block = 16
+    cap = max(1, _BLOCK_ELEMENTS // max(arr.size, 1))
+    block = min(16, cap)
     converged = False
     while n <= max_terms:
         ns = np.arange(n, min(n + block, max_terms + 1), dtype=float)
@@ -187,14 +202,14 @@ def lambda_e(E, theta: float, L: float, *, rel_tol: float = 1e-14,
             converged = True
             break
         n += len(ns)
-        block = min(2 * block, 4096)
+        block = min(2 * block, 4096, cap)
     if not converged:
         warnings.warn(
             f"closed-channel sum truncated after {max_terms} terms",
             PrecisionWarning,
             stacklevel=2,
         )
-    return float(total[0]) if np.asarray(E).ndim == 0 else total.reshape(np.asarray(E).shape)
+    return float(total[0]) if not shape else total.reshape(shape)
 
 
 def lambda_e_series_approx(theta, L: float, *, rel_tol: float = 1e-14,
@@ -341,12 +356,13 @@ def a1d_of_e(E, model: ScatteringModel):
     return -0.5 * model.inv_a_of(E) + 0.5 * c_of_e(E)
 
 
-def dispersion_residual(E, theta: float, config):
+def dispersion_residual(E, theta, config):
     """Residual a1d(E) + 2L (Lambda_p + Lambda_e); zero at Bloch eigenenergies.
 
-    Scalar theta, scalar or ndarray E.  Pole points are NaN for ndarray E
-    and raise PoleError for scalar E (see :func:`lambda_p`); threshold
-    errors propagate so callers can partition their search windows.
+    theta and E are scalars or arrays, broadcast element by element.
+    Pole points are NaN for array input and raise PoleError for scalar E
+    and theta (see :func:`lambda_p`); threshold errors propagate so
+    callers can partition their search windows.
     """
     L = config.lattice_spacing
     lam = lambda_p(E, theta, L) + lambda_e(E, theta, L)
@@ -388,10 +404,17 @@ def single_impurity_bound_energy(model: ScatteringModel) -> float:
     def g(E):
         return c_of_e(E) - model.inv_a_of(E)
 
-    hi = 1.0 - 1e-8
-    g_hi = g(hi)
-    if g_hi >= 0.0:  # pragma: no cover - guard distance keeps C very negative
-        raise DomainError("no bound root bracket found near threshold")
+    # weak attraction binds within 1 - E ~ 2 a^2 of the threshold: move the
+    # upper end toward it, the last try on the TOL_THRESHOLD guard itself
+    gap = 1e-8
+    g_hi = g(1.0 - gap)
+    while g_hi >= 0.0:
+        if gap == TOL_THRESHOLD:
+            raise DomainError(
+                "bound state lies within TOL_THRESHOLD of the threshold")
+        gap = max(0.25 * gap, TOL_THRESHOLD)
+        g_hi = g(1.0 - gap)
+    hi = 1.0 - gap
     lo = -1.0
     g_lo = g(lo)
     while g_lo < 0.0:

@@ -42,11 +42,12 @@ def _config(a, L, **kw):
     )
 
 
-def _bisect_many_oracle(f_vec, lo, hi, flo) -> np.ndarray:
+def _bisect_many_oracle(f_vec, lo, hi, flo, args=()) -> np.ndarray:
     """The vectorised bisection the band solver used before (test oracle)."""
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     flo = np.array(flo, dtype=float)
+    args = [np.asarray(a) for a in args]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         tol = np.maximum(bands_mod.BISECT_TOL, 1e-14 * np.abs(mid))
@@ -54,7 +55,7 @@ def _bisect_many_oracle(f_vec, lo, hi, flo) -> np.ndarray:
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        fm = np.asarray(f_vec(mid[idx]), dtype=float)
+        fm = np.asarray(f_vec(mid[idx], *(a[idx] for a in args)), dtype=float)
         if np.isnan(fm).any():
             raise PoleError("bisection midpoint fell on a lattice-sum pole",
                             channel=None)
@@ -290,13 +291,13 @@ class TestRootSolver:
                                    energy_window=(e_lo, e_hi)))
         solves = []
 
-        def recording(f_vec, lo, hi, flo, fhi, **tols):
-            found = chandrupatla(f_vec, lo, hi, flo, fhi, **tols)
-            solves.append((f_vec, lo, hi, found))
+        def recording(f_vec, lo, hi, flo, fhi, args=(), **tols):
+            found = chandrupatla(f_vec, lo, hi, flo, fhi, args=args, **tols)
+            solves.append((f_vec, lo, hi, args, found))
             return found
 
-        def oracle(f_vec, lo, hi, flo, fhi, **tols):
-            return _bisect_many_oracle(f_vec, lo, hi, flo)
+        def oracle(f_vec, lo, hi, flo, fhi, args=(), **tols):
+            return _bisect_many_oracle(f_vec, lo, hi, flo, args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bands_mod, "chandrupatla", recording)
@@ -305,12 +306,13 @@ class TestRootSolver:
             old = band_energies_at_theta(theta, cfg)
         assert new.size == old.size
         np.testing.assert_allclose(new, old, rtol=1e-10, atol=1e-10)
-        for f_vec, lo, hi, found in solves:
-            def f(e):
-                return float(f_vec(np.array([e]))[0])
+        for f_vec, lo, hi, args, found in solves:
+            def f(e, *arg):
+                return float(f_vec(np.array([e]), *arg)[0])
 
-            ref = [brentq(f, x0, x1, xtol=1e-14, rtol=1e-15)
-                   for x0, x1 in zip(lo, hi)]
+            ref = [brentq(f, lo[i], hi[i], args=tuple(a[i:i + 1] for a in args),
+                          xtol=1e-14, rtol=1e-15)
+                   for i in range(len(lo))]
             np.testing.assert_allclose(found, ref, rtol=1e-10, atol=1e-10)
 
     def test_converges_superlinearly(self):
@@ -343,6 +345,30 @@ class TestRootSolver:
         with pytest.raises(RootError):
             chandrupatla(f_vec, [0.0], [1.0], [-1.0], [1.0], atol=0.0, rtol=0.0)
 
+    def test_args_are_compacted_with_brackets(self):
+        # bracket k is [k, k + 1] with its root at roots[k]; the power sets
+        # how many steps it takes, and bracket 0 is closed before any call
+        roots = np.array([0.0, 1.3, 2.5, 3.7])
+        powers = np.array([1.0, 1.0, 3.0, 5.0])
+        lo = np.arange(4.0)
+        hi = lo + 1.0
+        sizes = []
+
+        def f_vec(x, r, p):
+            # every point sees the arguments of its own bracket
+            assert x.shape == r.shape == p.shape
+            assert np.array_equal(np.floor(x), np.floor(r))
+            sizes.append(x.size)
+            d = x - r
+            return np.sign(d) * np.abs(d) ** p
+
+        found = chandrupatla(f_vec, lo, hi, np.sign(lo - roots),
+                             np.sign(hi - roots), atol=1e-12, rtol=0.0,
+                             args=(roots, powers))
+        np.testing.assert_allclose(found, roots, rtol=0.0, atol=1e-11)
+        assert sizes[0] == 3
+        assert len(set(sizes)) == 3  # 3, 2, 1: they close one at a time
+
     def test_exact_zero_is_returned(self):
         def never(es):
             raise AssertionError("no residual call needed")
@@ -354,6 +380,35 @@ class TestRootSolver:
         mid = chandrupatla(lambda es: es - 0.5, [0.0], [1.0], [-0.5], [0.5],
                            atol=0.0, rtol=0.0)
         assert mid.tolist() == [0.5]
+
+
+class TestBatch:
+    """All phases of a request in one solve, against one phase at a time."""
+
+    @given(
+        a0=st.sampled_from([None, 1.0, -1.0]),
+        a=st.floats(0.05, 2.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        L=st.floats(0.8, 8.0),
+        thetas=st.lists(st.sampled_from([0.0, math.pi, -math.pi])
+                        | st.floats(-7.0, 7.0), min_size=1, max_size=6),
+        e_lo=st.floats(-2.0, 0.9),
+        e_hi=st.floats(1.5, 6.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batch_equals_single_phase(self, a0, a, sign, L, thetas, e_lo,
+                                       e_hi):
+        # a0 None is the constant-a model, else an atom-ion a(E) table
+        model = (ConstantScatteringLength(sign * a) if a0 is None
+                 else _ion_model(a0))
+        cfg = validate(ModelConfig(lattice_spacing=L, scattering=model,
+                                   energy_window=(e_lo, e_hi)))
+        batch = bands_mod._band_energies_batch(thetas, cfg)
+        assert len(batch) == len(thetas)
+        for theta, got in zip(thetas, batch):
+            one = band_energies_at_theta(theta, cfg)
+            assert got.size == one.size
+            np.testing.assert_allclose(got, one, rtol=1e-12, atol=0.0)
 
 
 class TestLatticeSumPoles:
@@ -505,6 +560,14 @@ class TestBandEdges:
     def test_overlap_flag_above_second_threshold(self):
         rows = band_edges_vs_a([0.5], 1.0, n_bands=3)
         assert any(r.flag == "overlap" for r in rows)
+
+    def test_weak_attraction_rows_not_failed(self):
+        # the single-impurity state of a = -5e-5 lies 5e-9 below threshold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = band_edges_vs_a([-5e-5], 3.0, n_bands=2)
+        assert [r.flag for r in rows] == ["", ""]
+        assert rows[0].e_theta0 < 1.0
 
     def test_failed_rows_flagged(self):
         with pytest.warns(RuntimeWarning):

@@ -5,8 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from quasikp import ConfigError, Kp1dParams, kp1d_bands, kp1d_rhs, kp1d_rhs_negative
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasikp import (
+    ConfigError,
+    Kp1dParams,
+    RootError,
+    kp1d_bands,
+    kp1d_rhs,
+    kp1d_rhs_negative,
+)
 from quasikp._roots import _ROOT_RTOL, _sign_changes, chandrupatla
+from quasikp.kp1d import kp1d_bands_batch
 
 
 class TestRhs:
@@ -155,3 +166,25 @@ class TestBands:
             kp1d_bands(Kp1dParams(g1d=0.0, L=1.0), 0.0, 0)
         with pytest.raises(ConfigError):
             kp1d_bands(Kp1dParams(g1d=0.0, L=1.0), math.nan, 2)
+
+    @given(
+        g=st.floats(-3.0, 3.0),
+        L=st.floats(0.5, 5.0),
+        thetas=st.lists(st.sampled_from([0.0, math.pi, -math.pi])
+                        | st.floats(-7.0, 7.0), min_size=1, max_size=6),
+        n=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_single_phase(self, g, L, thetas, n):
+        p = Kp1dParams(g1d=g, L=L)
+        try:
+            singles = [kp1d_bands(p, th, n) for th in thetas]
+        except RootError:
+            with pytest.raises(RootError):
+                kp1d_bands_batch(p, thetas, n)
+            return
+        batch = kp1d_bands_batch(p, thetas, n)
+        assert len(batch) == len(thetas)
+        for got, one in zip(batch, singles):
+            assert len(got) == len(one)
+            assert got == pytest.approx(one, rel=1e-12)

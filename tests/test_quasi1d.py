@@ -1,6 +1,7 @@
 """Waveguide channel decomposition, lattice sums, and the dispersion residual."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from quasikp import (
     validate,
 )
 from quasikp.atomion import ScatteringLengthTable, a_of_b, invert_a_of_b
+from quasikp.quasi1d import TOL_THRESHOLD
 
 
 def _config(a, L, **kw):
@@ -134,6 +136,30 @@ class TestLambdaP:
         got = lambda_p(np.array([E_pole, E_pole + 1e-8]), 0.0, L)
         assert math.isnan(got[0])
         assert math.isfinite(got[1])
+
+    def test_tiny_theta_warns_nothing(self):
+        # the masked closed-channel term 1/sin^2(theta/2) overflows here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lambda_p(np.array([2.5, 4.0]), 1e-160, 2.0)
+        np.testing.assert_allclose(got, lambda_p(np.array([2.5, 4.0]), 0.0, 2.0),
+                                   rtol=1e-14)
+
+    def test_array_theta_is_elementwise(self):
+        L = 1.3
+        es = np.array([[0.4], [1.7], [2.9], [4.6]])
+        ths = np.array([0.0, 0.8, math.pi, -2.2, 7.0])
+        for fn in (lambda_p, lambda_e):
+            got = fn(es, ths, L)
+            assert got.shape == (4, 5)
+            for i, e in enumerate(es[:, 0]):
+                for j, th in enumerate(ths):
+                    assert got[i, j] == pytest.approx(fn(float(e), float(th), L),
+                                                      rel=1e-13, abs=1e-15)
+        # a pole is NaN only at the point whose own phase it matches
+        e_pole = lattice_sum_pole_energies(0.8, L, 1.0, 6.0)[0]
+        got = lambda_p(np.array([e_pole, e_pole]), np.array([0.8, 1.9]), L)
+        assert math.isnan(got[0]) and math.isfinite(got[1])
 
     def test_parity_and_periodicity(self):
         E, L = 2.3, 1.7
@@ -369,6 +395,22 @@ class TestSingleImpurityBoundEnergy:
     def test_free_model_rejected(self):
         with pytest.raises(DomainError):
             single_impurity_bound_energy(ConstantScatteringLength(0.0))
+
+    @pytest.mark.parametrize("a", [-5e-5, -3e-5])
+    def test_weak_attraction_binds_next_to_threshold(self, a):
+        # C(1 - 1e-8) = -14141 > 1/a: the state lies closer than 1e-8;
+        # near threshold C ~ -sqrt(2 / (1 - E)), so 1 - E ~ 2 a^2
+        eb = single_impurity_bound_energy(ConstantScatteringLength(a))
+        assert TOL_THRESHOLD < 1.0 - eb < 1e-8
+        assert 1.0 - eb == pytest.approx(2.0 * a * a, rel=0.02)
+        # a few ulp of E move C by |dC/dE| ~ |C| / (2 (1 - E)) per unit E
+        eps = np.finfo(float).eps
+        assert abs(a * c_of_e(eb) - 1.0) <= 4.0 * eps / (1.0 - eb)
+
+    def test_state_inside_threshold_guard_raises(self):
+        # 1 - E_b ~ 2e-10 lies inside the TOL_THRESHOLD guard of c_of_e
+        with pytest.raises(DomainError, match="TOL_THRESHOLD"):
+            single_impurity_bound_energy(ConstantScatteringLength(-1e-5))
 
 
 @pytest.fixture(scope="module")
