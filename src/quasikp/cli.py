@@ -58,10 +58,11 @@ MODEL_TAGS = ("constant-a", "energy-dependent", "kp1d-reduced")
 # ---------------------------------------------------------------- plumbing
 
 def _fmt(value) -> str:
+    # repr is the shortest form that reads back as the same float
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
-        return format(value, ".12g")
+        return repr(float(value))
     return str(value)
 
 

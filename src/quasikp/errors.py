@@ -27,10 +27,6 @@ class DomainError(QuasiKpError):
     """Argument outside the mathematical domain of a function."""
 
 
-class UnitsError(QuasiKpError):
-    """Unit conversion requested without the required physical scale."""
-
-
 class ThresholdError(QuasiKpError):
     """Energy too close to a transverse channel threshold (singular limit)."""
 

@@ -8,6 +8,13 @@ A particle on a line with identical zero-range scatterers of strength
 with the k -> i*kappa continuation ``cosh(kappa L) + g1d sinh(kappa L)/kappa``
 for E < 0.  Units here are hbar = m = 1; energies are purely axial
 (no transverse zero point).
+
+The right-hand side is the discriminant of Hill's equation: it equals
+(-1)^m at the nodes kL = m pi for every coupling and is strictly monotone
+inside each band.  So every band has one bracket known in advance, and
+no scan is needed (see :func:`kp1d_bands_batch`).  At the zone edges
+cos(theta) = +-1 the node factor is divided out of rhs -+ 1, so that the
+edge next to a node is a simple root (see :func:`_band_residual`).
 """
 
 from __future__ import annotations
@@ -17,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import _ROOT_RTOL, _sign_changes, chandrupatla
+from ._roots import _ROOT_RTOL, chandrupatla
 from .errors import ConfigError, RootError
 
 _RHS_TOL = 1e-10  # |rhs - cos(theta)| at an accepted root
-_NODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,83 +94,28 @@ def _scaled_negative_residual(kappa, params: Kp1dParams, cos_theta: float):
     return out
 
 
-def _scan_grid(lo: float, hi: float, scan_points: int) -> np.ndarray:
-    """Uniform grid plus points clustered geometrically toward both ends.
+# cos(j pi/2) for j mod 4; sin(j pi/2) is the entry at (j - 1) mod 4
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])
 
-    Roots can sit arbitrarily close to an interval endpoint (for weak
-    coupling the second edge root lies only ~2 g L / pi past a node), so
-    a uniform grid alone would step right over the sign dip.
+
+def _band_residual(k, cos_theta, params: Kp1dParams, rhs, cos_x, sin_x):
+    """rhs(k) - cos(theta), with the node factor divided out at cos(theta) = +-1.
+
+    ``rhs``, ``cos_x`` and ``sin_x`` are rhs(k) and the cos and sin of
+    x = kL/2, passed in so that they are exact at the nodes.  Since
+
+        rhs - 1 = (2/k) sin(x) [g1d cos(x) - k sin(x)],
+        rhs + 1 = 2 cos(x) [cos(x) + g1d sin(x)/k],
+
+    at cos(theta) = 1 (-1) the bracketed factor is returned: rhs -+ 1 only
+    touches zero at a zone-edge root next to a node, where the factor has
+    a simple root.
     """
-    width = hi - lo
-    eps = np.geomspace(1e-12, 0.4, 25) * width
-    ks = np.concatenate([np.linspace(lo, hi, scan_points), lo + eps, hi - eps])
-    return np.unique(ks)
-
-
-def _refine_rows(f, ks: np.ndarray, vals: np.ndarray,
-                 cos_t: np.ndarray) -> list[list[float]]:
-    """Roots inside every sign change of every row of the scan.
-
-    Row r of ``vals`` is the scan at phase r; the brackets of all rows are
-    refined in one call, each with its own cos(theta).
-    """
-    n = ks.size
-    flat = _sign_changes(vals.ravel())
-    flat = flat[flat % n != n - 1]  # no bracket across two rows
-    rows, i = flat // n, flat % n
-    found = chandrupatla(f, ks[i], ks[i + 1], vals[rows, i], vals[rows, i + 1],
-                         atol=0.0, rtol=_ROOT_RTOL, args=(cos_t[rows],))
-    out: list[list[float]] = [[] for _ in cos_t]
-    for r, k in zip(rows.tolist(), found.tolist()):
-        out[r].append(k)
-    return out
-
-
-def _positive_roots(params: Kp1dParams, cos_t: np.ndarray, n_intervals: int,
-                    scan_points: int = 240) -> list[list[float]]:
-    """Roots of rhs(k) = cos(theta) for k >= 0, one list per phase.
-
-    Interval j is (j*pi/L, (j+1)*pi/L); a dense endpoint-refined scan of
-    every interval finds each transversal crossing, and Chandrupatla's
-    method (:func:`quasikp._roots.chandrupatla`) refines all of them, for
-    every phase, in one call.  The scan and rhs(k) do not depend on the
-    phase and are computed once.  At the nodes kL = m*pi the rhs equals
-    (-1)^m exactly (the delta term vanishes), so when cos(theta) matches
-    that value the node is a root the scan can only touch tangentially;
-    those roots are added analytically.
-    """
-    L = params.L
-    # the interval grids share only their end nodes, so the merged grid
-    # holds the same brackets as the separate scans
-    ks = np.unique(np.concatenate([
-        _scan_grid(j * np.pi / L, (j + 1) * np.pi / L, scan_points)
-        for j in range(n_intervals)
-    ]))
-    f = lambda k, c: kp1d_rhs(k, params) - c
-    roots = _refine_rows(f, ks, kp1d_rhs(ks, params) - cos_t[:, None], cos_t)
-    for r, c in enumerate(cos_t):
-        for m in range(n_intervals + 1):
-            rhs_node = (1.0 if m % 2 == 0 else -1.0) + (params.g1d * L if m == 0 else 0.0)
-            if abs(rhs_node - c) < _NODE_TOL:
-                roots[r].append(m * np.pi / L)
-    return roots
-
-
-def _negative_roots(params: Kp1dParams, cos_t: np.ndarray,
-                    scan_points: int = 400) -> list[list[float]]:
-    """Bound-band roots kappa > 0 of the continued dispersion (g1d < 0 only)."""
-    if params.g1d >= 0.0:
-        # cosh + g*sinh/kappa > 1 >= cos(theta) for g >= 0: no bound band
-        return [[] for _ in cos_t]
-    kappa_hi = max(2.0 * abs(params.g1d), 4.0 / params.L)
-    f = lambda kap, c: _scaled_negative_residual(kap, params, c)
-    ks = _scan_grid(0.0, kappa_hi, scan_points)
-    vals = f(ks, cos_t[:, None])
-    roots = _refine_rows(f, ks, vals, cos_t)
-    exact = (vals[:, :-1] == 0.0) & (ks[:-1] > 0.0)
-    for r, i in zip(*np.nonzero(exact)):
-        roots[r].append(float(ks[i]))
-    return roots
+    g = params.g1d
+    sin_over_k = np.where(k == 0.0, 0.5 * params.L, sin_x / np.where(k == 0.0, 1.0, k))
+    return np.select([cos_theta == 1.0, cos_theta == -1.0],
+                     [g * cos_x - k * sin_x, cos_x + g * sin_over_k],
+                     rhs - cos_theta)
 
 
 def kp1d_bands(params: Kp1dParams, theta: float, n_bands: int) -> list[float]:
@@ -180,44 +131,68 @@ def kp1d_bands(params: Kp1dParams, theta: float, n_bands: int) -> list[float]:
 
 def kp1d_bands_batch(params: Kp1dParams, thetas,
                      n_bands: int) -> list[list[float]]:
-    """:func:`kp1d_bands` at every phase of ``thetas``, solved together."""
+    """:func:`kp1d_bands` at every phase of ``thetas``, solved together.
+
+    Every band has one bracket, known in advance, because rhs(m pi/L) =
+    (-1)^m exactly and rhs is strictly monotone inside each band (Hill's
+    equation; W. Magnus and S. Winkler, *Hill's Equation*, 1966):
+
+    - band m+1 (m >= 1) is the one root of :func:`_band_residual` in
+      [m pi/L, (m+1) pi/L];
+    - band 1 lies in [0, pi/L], or on the kappa branch in
+      [0, max(2|g1d|, 4/L)] when 1 + g1d L <= cos(theta).
+
+    At cos(theta) = +-1, where the factor of :func:`_band_residual` keeps
+    its sign on an interval, the band edge is the node kL = j pi at that
+    interval's end with (-1)^j = cos(theta).  Each kind of bracket (k and
+    kappa) is refined for all phases in one Chandrupatla call.
+    """
     if n_bands < 1:
         raise ConfigError(["n_bands must be >= 1"])
     thetas = [float(th) for th in thetas]
     if not all(math.isfinite(th) for th in thetas):
         raise ConfigError(["theta must be finite"])
-    cos_t = np.array([math.cos(th) for th in thetas])
-    negative = _negative_roots(params, cos_t)
-    positive = _positive_roots(params, cos_t, n_intervals=n_bands + 2)
+    g, L = params.g1d, params.L
+    # one entry per (phase, band); band j+1 lies in [j pi/L, (j+1) pi/L]
+    cos_t = np.repeat([math.cos(th) for th in thetas], n_bands)
+    j = np.tile(np.arange(n_bands), len(thetas))
+    f_lo, f_hi = (
+        _band_residual(node * np.pi / L, cos_t, params,
+                       np.where(node == 0, 1.0 + g * L, (-1.0) ** node),
+                       _QUARTER_COS[node % 4], _QUARTER_COS[(node - 1) % 4])
+        for node in (j, j + 1))
+    # at 1 + g1d L = cos(theta) the root is k = kappa = 0; the kappa bracket
+    # returns it at once, where the k bracket would start on a node factor root
+    bound = (j == 0) & (1.0 + g * L <= cos_t)
+    cross = ~bound & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
+    # without a sign change the edge is the node of the parity of cos(theta)
+    k = np.where((j % 2 == 0) == (cos_t == 1.0), j, j + 1) * np.pi / L
+    f = lambda kk, c: _band_residual(kk, c, params, kp1d_rhs(kk, params),
+                                     np.cos(0.5 * L * kk), np.sin(0.5 * L * kk))
+    k[cross] = chandrupatla(f, j[cross] * np.pi / L, (j[cross] + 1) * np.pi / L,
+                            f_lo[cross], f_hi[cross], atol=0.0, rtol=_ROOT_RTOL,
+                            args=(cos_t[cross],))
+    kappa = np.zeros(k.shape)
+    c_bound = cos_t[bound]
+    kappa_hi = np.full(c_bound.shape, max(2.0 * abs(g), 4.0 / L))
+    zero = np.zeros(c_bound.shape)
+    h = lambda kap, c: _scaled_negative_residual(kap, params, c)
+    kappa[bound] = chandrupatla(h, zero, kappa_hi, h(zero, c_bound),
+                                h(kappa_hi, c_bound), atol=0.0, rtol=_ROOT_RTOL,
+                                args=(c_bound,))
+    # + 0.0 turns the -0.0 of kappa = 0 into 0.0
+    energies = np.where(bound, -0.5 * kappa * kappa, 0.5 * k * k) + 0.0
 
-    # rounding in k*L grows with the coupling, so scale the sanity tolerance
-    resid_tol = _RHS_TOL * (1.0 + abs(params.g1d) * params.L)
-    out = []
-    for theta, c, kappas, ks in zip(thetas, cos_t, negative, positive):
-        energies = [-0.5 * kappa * kappa for kappa in kappas if kappa > 0.0]
-        energies += [0.5 * k * k for k in ks]
-        # dedupe: node roots can also be caught by a neighboring bracket
-        energies.sort()
-        unique: list[float] = []
-        for e in energies:
-            if not unique or abs(e - unique[-1]) > 1e-9 * (1.0 + abs(e)):
-                unique.append(e)
-
-        for e in unique[:n_bands]:
-            if e >= 0.0:
-                resid = abs(kp1d_rhs(math.sqrt(2.0 * e), params) - c)
-            else:
-                # the raw form loses all precision for deep roots (cosh ~
-                # 1e60), so check the exp(-kappa L)-scaled equation, which
-                # shares its zeros
-                resid = abs(_scaled_negative_residual(math.sqrt(-2.0 * e), params, c))
-            if resid > resid_tol:
-                raise RootError(
-                    f"kp1d root at E={e!r} (theta={theta!r}) has residual {resid:.3e}"
-                )
-        if len(unique) < n_bands:
-            raise RootError(
-                f"found only {len(unique)} bands of {n_bands} requested at theta={theta!r}"
-            )
-        out.append(unique[:n_bands])
-    return out
+    # the raw form loses all precision for deep bound roots (cosh ~ 1e60),
+    # so check the exp(-kappa L)-scaled equation there, which shares its
+    # zeros; rounding in k*L grows with the coupling, so scale the tolerance
+    resid = np.abs(np.where(bound, _scaled_negative_residual(kappa, params, cos_t),
+                            kp1d_rhs(k, params) - cos_t))
+    bad = np.nonzero(resid > _RHS_TOL * (1.0 + abs(g) * L))[0]
+    if bad.size:
+        i = bad[0]
+        raise RootError(
+            f"kp1d root at E={float(energies[i])!r} "
+            f"(theta={thetas[i // n_bands]!r}) has residual {resid[i]:.3e}"
+        )
+    return energies.reshape(len(thetas), n_bands).tolist()

@@ -72,39 +72,6 @@ def _branch_offsets(E):
     return n_star, eps
 
 
-@dataclass(frozen=True)
-class ChannelDecomposition:
-    """Open/closed transverse channel split at a given total energy.
-
-    open_k holds the axial momenta (in 1/a_perp) of the open channels;
-    closed channel momenta come from :meth:`closed_k` on demand since
-    there are infinitely many.
-    """
-
-    n_star: int
-    e_threshold: float
-    epsilon: float
-    open_k: np.ndarray
-
-    def closed_k(self, n):
-        """Evanescent momentum 2*sqrt(n - eps/2) of the n-th closed channel, n >= 1."""
-        n_arr = np.asarray(n)
-        if np.any(n_arr < 1):
-            raise DomainError("closed channels are indexed from 1")
-        out = 2.0 * np.sqrt(n_arr - 0.5 * self.epsilon)
-        return float(out) if n_arr.ndim == 0 else out
-
-
-def channels(E: float) -> ChannelDecomposition:
-    """Decompose energy E into open and closed transverse channels."""
-    n_star_arr, eps_arr = _branch_offsets(float(E))
-    n_star = int(n_star_arr)
-    eps = float(eps_arr)
-    ns = np.arange(0, n_star + 1, dtype=float)
-    open_k = 2.0 * np.sqrt(np.maximum((float(E) - 1.0) / 2.0 - ns, 0.0))
-    return ChannelDecomposition(n_star, 2.0 * n_star + 1.0, eps, open_k)
-
-
 def c_of_e(E):
     """Closed-channel regularization constant C(E) = -zeta(1/2, 1 - eps/2).
 
@@ -210,40 +177,6 @@ def lambda_e(E, theta, L: float, *, rel_tol: float = 1e-14,
             stacklevel=2,
         )
     return float(total[0]) if not shape else total.reshape(shape)
-
-
-def lambda_e_series_approx(theta, L: float, *, rel_tol: float = 1e-14,
-                           max_terms: int = 10**6):
-    """Low-energy closed-channel sum with k_n -> 2*sqrt(n) (eps -> 0 limit).
-
-    Accepts scalar or ndarray theta; valid near the lowest threshold where
-    the full sum reduces to sum_n Re[1/(1 - e^{2 sqrt(n) L + i theta})]/(2 sqrt(n) L).
-    """
-    th = np.asarray(theta, dtype=float)
-    if not (math.isfinite(L) and L > 0.0):
-        raise DomainError("L must be positive")
-    cos_t = np.cos(th)
-    total = np.zeros(th.shape)
-    n = 1
-    block = 16
-    converged = False
-    while n <= max_terms:
-        ns = np.arange(n, min(n + block, max_terms + 1), dtype=float)
-        x = 2.0 * np.sqrt(ns)[(...,) + (None,) * th.ndim] * L
-        terms = _re_geometric(np.exp(-x), cos_t) / x
-        total = total + terms.sum(axis=0)
-        if np.all(np.abs(terms[-1]) <= rel_tol * np.maximum(np.abs(total), 1e-300)):
-            converged = True
-            break
-        n += len(ns)
-        block = min(2 * block, 4096)
-    if not converged:
-        warnings.warn(
-            f"closed-channel sum truncated after {max_terms} terms",
-            PrecisionWarning,
-            stacklevel=2,
-        )
-    return float(total) if th.ndim == 0 else total
 
 
 def lambda_e_h_approx(theta, L: float):
@@ -373,17 +306,18 @@ def a1d_eff(theta, L: float, model: ScatteringModel, mode: str = "series"):
     """Effective 1D scattering length of the lattice near the lowest threshold.
 
     a1d_eff(theta) = a1d + 2L * Lambda_e(theta) with the low-energy C;
-    the lattice correction uses either the exact eps -> 0 series
-    (mode "series") or the large-spacing H-function form (mode "h-approx").
+    the lattice correction is either the closed-channel sum at the lowest
+    threshold, Lambda_e(1, theta) with k_n = 2 sqrt(n) (mode "series"), or
+    the large-spacing H-function form (mode "h-approx").
     Only meaningful for a constant-a model.
     """
     if not isinstance(model, ConstantScatteringLength):
         raise DomainError("a1d_eff is defined for the constant-a model")
     if model.a == 0.0:
         raise DomainError("a1d_eff undefined for a = 0 (free lattice)")
-    if mode in ("series", "exact-series"):
-        lam = lambda_e_series_approx(theta, L)
-    elif mode in ("h", "h-approx"):
+    if mode == "series":
+        lam = lambda_e(1.0, theta, L)
+    elif mode == "h-approx":
         lam = lambda_e_h_approx(theta, L)
     else:
         raise DomainError(f"unknown a1d_eff mode {mode!r}")

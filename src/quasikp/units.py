@@ -9,7 +9,8 @@ The only nontrivial bridge between the two systems is the energy map
 
     E[E*] = E[hbar*omega] * 2 * (R*/a_perp)^2
 
-which follows from E* / (hbar*omega) = a_perp^2 / (2 R*^2).
+which follows from E* / (hbar*omega) = a_perp^2 / (2 R*^2); it is applied
+by :class:`quasikp.quasi1d.EnergyDependentScatteringLength`.
 """
 
 from __future__ import annotations
@@ -18,46 +19,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, UnitsError
+from .errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .quasi1d import ScatteringModel
-
-
-@dataclass(frozen=True)
-class IonUnits:
-    """Ion length scale relative to the transverse oscillator length.
-
-    ``r_star_ratio`` is R*/a_perp; zero means a pure contact model with
-    no ion scale at all, in which case energy conversions are refused.
-    """
-
-    r_star_ratio: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r_star_ratio) and self.r_star_ratio >= 0.0):
-            raise ConfigError(["r_star_ratio must be finite and >= 0"])
-
-    @property
-    def e_star_ratio(self) -> float:
-        """E*/(hbar*omega) = 1 / (2 (R*/a_perp)^2)."""
-        if self.r_star_ratio == 0.0:
-            raise UnitsError("contact model has no ion energy scale")
-        return 1.0 / (2.0 * self.r_star_ratio**2)
-
-
-def energy_ho_to_ion(e_ho: float, units: IonUnits) -> float:
-    """Convert an energy from hbar*omega units to E* units."""
-    if units.r_star_ratio == 0.0:
-        raise UnitsError("contact model has no ion energy scale")
-    return e_ho * 2.0 * units.r_star_ratio**2
-
-
-def energy_ion_to_ho(e_ion: float, units: IonUnits) -> float:
-    """Convert an energy from E* units back to hbar*omega units."""
-    if units.r_star_ratio == 0.0:
-        raise UnitsError("contact model has no ion energy scale")
-    return e_ion / (2.0 * units.r_star_ratio**2)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,60 @@ class TestBands:
         # kappa L ~ 740: the bound band is flat at kappa = -g1d
         np.testing.assert_allclose(bottom, 1.0 - 0.5 * g * g, rtol=1e-12)
 
+    def test_rows_read_back_onto_the_kronig_penney_relation(self, tmp_path):
+        # a sits 6e-4 above the confinement-induced resonance, so g1d is
+        # about -1571; near kL = pi the relation moves by 4e4 per unit E,
+        # and a table rounded to 12 digits misses it by 1.4e-7
+        L, a = 6.320190366481748, 0.68536277181714
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", "--models", "constant-a", "kp1d-reduced",
+                   "--n-bands", "4", "--theta-points", "21",
+                   "--energy-max", "7.0", "--L", repr(L), "--a", repr(a),
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        g = -1.0 / a1d_of_e(1.0, ConstantScatteringLength(a))
+        worst = 0.0
+        for r in rows:
+            if r[0] != "kp1d-reduced":
+                continue
+            theta, e = float(r[1]), float(r[3]) - 1.0
+            if e >= 0.0:
+                k = math.sqrt(2.0 * e)
+                s = L if k == 0.0 else math.sin(k * L) / k
+                lhs = math.cos(k * L) + g * s - math.cos(theta)
+            else:
+                # divided through by cosh(kappa L), which overflows here
+                kap = math.sqrt(-2.0 * e)
+                s = math.tanh(kap * L) / kap
+                sech = 2.0 * math.exp(-kap * L) / (1.0 + math.exp(-2.0 * kap * L))
+                lhs = 1.0 + g * s - math.cos(theta) * sech
+            worst = max(worst, abs(lhs) / (1.0 + abs(g * s)))
+        assert worst < 1e-8
+
+    def test_free_lattice_kp1d_rows_equal_constant_a_rows(self, tmp_path):
+        # a = 0: below the second transverse threshold E = 3 both models are
+        # the free particle folded into the zone, with the levels at theta = pi
+        # doubly degenerate
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", "--L", "2", "--a", "0", "--models", "constant-a",
+                   "kp1d-reduced", "--n-bands", "3", "--theta-points", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        for theta in (0.0, 0.5 * math.pi, math.pi):
+            levels = {tag: sorted(float(r[3]) for r in rows
+                                  if r[0] == tag and abs(float(r[1]) - theta) < 1e-9
+                                  and float(r[3]) < 3.0)
+                      for tag in ("constant-a", "kp1d-reduced")}
+            assert levels["kp1d-reduced"] == pytest.approx(levels["constant-a"],
+                                                           rel=1e-12), theta
+            assert len(levels["kp1d-reduced"]) == (2 if theta == math.pi else 1)
+        rc = main(["bands", "--L", "2", "--a", "0", "--models", "constant-a",
+                   "kp1d-reduced", "--n-bands", "4", "--theta-points", "5",
+                   "--out", str(tmp_path / "four.csv")])
+        assert rc == 0
+
     def test_unknown_model_tag_via_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"models": ["bogus"]}), encoding="utf-8")

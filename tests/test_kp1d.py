@@ -115,19 +115,36 @@ class TestBands:
             )
 
     def test_against_dense_scan_oracle(self):
-        # gL = 3, theta = 0: locate sign changes of rhs - 1 on a 1e5 grid
-        # (the even nodes kL = 2*pi*j are transversal crossings on the
-        # full line, so the dense scan catches them on its own)
-        p = Kp1dParams(g1d=3.0, L=1.0)
-        ks = np.linspace(1e-6, 4.5 * math.pi, 100_001)
-        vals = kp1d_rhs(ks, p) - 1.0
-        flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        scan_es = sorted(0.5 * (0.5 * (ks[i] + ks[i + 1])) ** 2 for i in flips)
-        bands = kp1d_bands(p, 0.0, 4)
-        h = ks[1] - ks[0]
-        assert len(scan_es) >= 4
-        for got, ref in zip(bands, scan_es[:4]):
-            assert got == pytest.approx(ref, abs=h * math.sqrt(2.0 * ref))
+        # locate the roots of rhs - cos(theta) on a dense grid, and on the
+        # kappa branch cosh + g sinh/kappa - cos(theta) for a bound band;
+        # a sign change is a simple root, and a local minimum of |rhs -
+        # cos(theta)| that touches zero without a sign change is a double
+        # root (the closed gaps of the free lattice at theta = pi)
+        for g, L, theta in ((3.0, 1.0, 0.0), (-1.3, 1.0, 0.0),
+                            (-0.8, 2.0, math.pi), (2.0, 1.5, math.pi),
+                            (0.0, 2.0, math.pi)):
+            c = math.cos(theta)
+            ks = np.linspace(1e-6, 4.5 * math.pi / L, 100_001)
+            vals = np.cos(ks * L) + g * np.sin(ks * L) / ks - c
+            s = np.sign(vals)
+            flips = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
+            es = [0.5 * (0.5 * (ks[i] + ks[i + 1])) ** 2 for i in flips]
+            a = np.abs(vals)
+            touch = 1 + np.nonzero((a[1:-1] < a[:-2]) & (a[1:-1] < a[2:])
+                                   & (a[1:-1] < 1e-6)
+                                   & (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:]))[0]
+            es += [0.5 * ks[i] ** 2 for i in touch for _ in range(2)]
+            kaps = np.linspace(1e-6, 4.0 * max(abs(g), 1.0 / L), 100_001)
+            w = np.cosh(kaps * L) + g * np.sinh(kaps * L) / kaps - c
+            sw = np.sign(w)
+            es += [-0.5 * kaps[i] ** 2 for i in np.nonzero(sw[:-1] * sw[1:] < 0.0)[0]]
+            es.sort()
+            bands = kp1d_bands(Kp1dParams(g1d=g, L=L), theta, 4)
+            h = max(ks[1] - ks[0], kaps[1] - kaps[0])
+            assert len(es) >= 4, (g, L, theta)
+            for got, ref in zip(bands, es[:4]):
+                assert got == pytest.approx(ref, abs=h * math.sqrt(2.0 * abs(ref))), \
+                    (g, L, theta)
 
     def test_gap_closes_linearly_in_g(self):
         # first gap at theta = pi has width ~ 2 g / pi * ... -> 0 as g -> 0
@@ -188,3 +205,77 @@ class TestBands:
         for got, one in zip(batch, singles):
             assert len(got) == len(one)
             assert got == pytest.approx(one, rel=1e-12)
+
+
+class TestBrackets:
+    """One bracket per band: band m+1 in [m pi/L, (m+1) pi/L], band 1 on
+    the kappa branch when 1 + g L <= cos(theta)."""
+
+    def test_free_lattice_zone_edge_doublets(self):
+        # g = 0: the gaps at the zone edges are closed, so the bands meet in
+        # pairs at the nodes kL = pi, 3pi (theta = pi) and 2pi (theta = 0)
+        u = 0.5 * (math.pi / 2.0) ** 2
+        p = Kp1dParams(g1d=0.0, L=2.0)
+        assert kp1d_bands(p, math.pi, 4) == pytest.approx([u, u, 9 * u, 9 * u],
+                                                          rel=1e-15)
+        assert kp1d_bands(p, 0.0, 4) == pytest.approx([0.0, 4 * u, 4 * u, 16 * u],
+                                                      rel=1e-15)
+
+    def test_small_coupling_zone_edge_against_mpmath(self):
+        # g L ~ 4e-6: at theta = 0 the roots of band 1 and band 3 sit
+        # 2e-7 (relative) past k = 0 and kL = 2 pi, where rhs - 1 is
+        # nearly a double root; references from 50-digit mpmath on rhs - 1
+        mpmath = pytest.importorskip("mpmath")
+        g, L = 1.56e-6, 2.77
+        with mpmath.workdps(50):
+            gm, Lm = mpmath.mpf(g), mpmath.mpf(L)
+            f = lambda k: mpmath.cos(k * Lm) + gm * mpmath.sin(k * Lm) / k - 1
+            node = 2 * mpmath.pi / Lm
+            refs = [mpmath.findroot(f, lo_hi, solver="anderson")
+                    for lo_hi in ((mpmath.mpf("1e-9"), mpmath.pi / (2 * Lm)),
+                                  (node * (1 + mpmath.mpf("1e-9")),
+                                   node * (1 + mpmath.mpf("1e-5"))))]
+            refs = [float(k * k / 2) for k in refs]
+        bands = kp1d_bands(Kp1dParams(g1d=g, L=L), 0.0, 4)
+        assert bands[0] == pytest.approx(refs[0], rel=1e-14)
+        assert bands[2] == pytest.approx(refs[1], rel=1e-14)
+        # bands 2 and 4 end on the nodes kL = 2 pi and 4 pi
+        assert bands[1] == pytest.approx(0.5 * (2.0 * math.pi / L) ** 2, rel=1e-15)
+        assert bands[3] == pytest.approx(0.5 * (4.0 * math.pi / L) ** 2, rel=1e-15)
+
+    @given(
+        g=st.sampled_from([0.0])
+        | st.builds(lambda sign, mag: sign * 10.0 ** mag,
+                    st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 4.0)),
+        L=st.floats(0.05, 20.0),
+        theta=st.sampled_from([0.0, math.pi, -math.pi])
+        | st.builds(lambda base, d: base + d,
+                    st.sampled_from([0.0, math.pi, -math.pi]),
+                    st.floats(-1e-6, 1e-6))
+        | st.floats(-math.pi, math.pi),
+        n=st.integers(1, 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_root_per_bracket(self, g, L, theta, n):
+        p = Kp1dParams(g1d=g, L=L)
+        c = math.cos(theta)
+        bands = kp1d_bands(p, theta, n)
+        assert len(bands) == n
+        bound = 1.0 + g * L <= c
+        slack = 1e-12
+        for m, e in enumerate(bands):
+            if m == 0 and bound:
+                assert e <= 0.0
+                continue
+            k = math.sqrt(2.0 * e)
+            assert m * math.pi / L * (1.0 - slack) <= k <= (m + 1) * math.pi / L * (1.0 + slack)
+        if abs(c) == 1.0:
+            return
+        # inside the zone the root count is certified: rhs - cos(theta) has
+        # exactly one sign change on a dense grid of every band's interval
+        # (the ends are the nodes, where rhs = (-1)^m exactly)
+        for m in range(0 if not bound else 1, n):
+            ks = np.linspace(m, m + 1, 2001)[1:-1] * math.pi / L
+            vals = np.concatenate([[(1.0 + g * L if m == 0 else (-1.0) ** m) - c],
+                                   kp1d_rhs(ks, p) - c, [(-1.0) ** (m + 1) - c]])
+            assert _sign_changes(vals).size == 1, m

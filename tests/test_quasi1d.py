@@ -18,12 +18,10 @@ from quasikp import (
     a1d_eff,
     a1d_of_e,
     c_of_e,
-    channels,
     dispersion_residual,
     hurwitz_zeta_half,
     lambda_e,
     lambda_e_h_approx,
-    lambda_e_series_approx,
     lambda_p,
     lattice_sum_pole_energies,
     olshanii_constant,
@@ -31,7 +29,7 @@ from quasikp import (
     validate,
 )
 from quasikp.atomion import ScatteringLengthTable, a_of_b, invert_a_of_b
-from quasikp.quasi1d import TOL_THRESHOLD
+from quasikp.quasi1d import TOL_THRESHOLD, _branch_offsets
 
 
 def _config(a, L, **kw):
@@ -40,51 +38,29 @@ def _config(a, L, **kw):
 
 class TestChannels:
     def test_at_lowest_threshold(self):
-        ch = channels(1.0)
-        assert ch.n_star == 0
-        assert ch.epsilon == 0.0
-        assert ch.open_k == pytest.approx([0.0])
+        n_star, eps = _branch_offsets(1.0)
+        assert n_star == 0
+        assert eps == 0.0
 
     def test_at_second_threshold(self):
-        ch = channels(3.0)
-        assert ch.n_star == 1
-        assert ch.e_threshold == 3.0
-        assert ch.epsilon == 0.0
-        assert ch.open_k == pytest.approx([2.0, 0.0])
+        n_star, eps = _branch_offsets(3.0)
+        assert n_star == 1
+        assert eps == 0.0
 
     def test_below_threshold(self):
-        ch = channels(0.5)
-        assert ch.n_star == -1
-        assert ch.e_threshold == -1.0
-        assert ch.epsilon == 1.5
-        assert ch.open_k.size == 0
-
-    def test_open_momenta(self):
-        E = 6.2
-        ch = channels(E)
-        assert ch.n_star == 2
-        for n, k in enumerate(ch.open_k):
-            assert 1.0 + 2.0 * n + 0.5 * k * k == pytest.approx(E, rel=1e-12)
-
-    def test_closed_momenta(self):
-        ch = channels(1.5)
-        for n in (1, 2, 5):
-            kt = ch.closed_k(n)
-            # evanescent: E = (1 + 2 n) - kt^2 / 2
-            assert 1.0 + 2.0 * n - 0.5 * kt * kt == pytest.approx(1.5, rel=1e-12)
-        with pytest.raises(DomainError):
-            ch.closed_k(0)
+        n_star, eps = _branch_offsets(0.5)
+        assert n_star == -1
+        assert eps == 1.5
 
     def test_threshold_guard_is_one_sided(self):
         with pytest.raises(ThresholdError):
-            channels(3.0 - 1e-12)
+            c_of_e(3.0 - 1e-12)
         # from above the threshold is a regular point
-        ch = channels(3.0 + 1e-12)
-        assert ch.n_star == 1
+        assert math.isfinite(c_of_e(3.0 + 1e-12))
 
     def test_nonfinite_energy(self):
         with pytest.raises(DomainError):
-            channels(math.nan)
+            c_of_e(math.nan)
 
 
 class TestCOfE:
@@ -180,20 +156,20 @@ class TestLambdaE:
     def test_against_direct_summation(self):
         # independent inline evaluation of the defining series
         for E, th, L in ((1.0, 0.0, 1.0), (1.7, 1.2, 0.8), (4.2, 2.5, 2.0)):
-            ch = channels(E)
+            eps = E - (2.0 * max(math.floor((E - 1.0) / 2.0), -1) + 1.0)
             n = np.arange(1, 4001, dtype=float)
-            ktl = 2.0 * np.sqrt(n - 0.5 * ch.epsilon) * L
+            ktl = 2.0 * np.sqrt(n - 0.5 * eps) * L
             terms = np.real(1.0 / (1.0 - np.exp(ktl + 1j * th))) / ktl
             assert lambda_e(E, th, L) == pytest.approx(float(terms.sum()), abs=1e-13)
 
     def test_matches_small_k_series_near_threshold(self):
         exact = lambda_e(1.0 + 1e-6, 0.0, 1.0)
-        approx = lambda_e_series_approx(0.0, 1.0)
+        approx = lambda_e(1.0, 0.0, 1.0)
         assert exact == pytest.approx(approx, rel=1e-6)
 
     def test_series_error_linear_in_excess_energy(self):
         for th, L in ((1.1, 2.5), (math.pi, 1.3)):
-            approx = lambda_e_series_approx(th, L)
+            approx = lambda_e(1.0, th, L)
             d6 = abs(lambda_e(1.0 + 1e-6, th, L) - approx)
             d7 = abs(lambda_e(1.0 + 1e-7, th, L) - approx)
             assert d6 < 3e-6 * abs(approx)
@@ -222,7 +198,7 @@ class TestLambdaEHApprox:
         # measured max |h - series| over theta at L = 3 is ~1.0e-6
         for th in np.linspace(0.0, math.pi, 9):
             h = lambda_e_h_approx(float(th), 3.0)
-            s = lambda_e_series_approx(float(th), 3.0)
+            s = lambda_e(1.0, float(th), 3.0)
             assert h == pytest.approx(s, abs=5e-6)
 
 

@@ -2,56 +2,70 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from quasikp import (
     ConfigError,
     ConstantScatteringLength,
-    IonUnits,
+    EnergyDependentScatteringLength,
     ModelConfig,
-    UnitsError,
-    energy_ho_to_ion,
-    energy_ion_to_ho,
     validate,
 )
+
+
+class _IdentityTable:
+    """Stand-in phase-shift table: a(E) in R* is the ion energy E itself."""
+
+    e_min = -math.inf
+
+    def __init__(self, a_zero_energies=()):
+        self.a_zero_energies = list(a_zero_energies)
+
+    def a_of_e(self, e):
+        return np.asarray(e, dtype=float)
+
+
+def _ion_energy(e_ho, r_star_ratio):
+    """E in units of E* for a waveguide energy, read off through a_of."""
+    model = EnergyDependentScatteringLength(_IdentityTable(), r_star_ratio)
+    return model.a_of(e_ho) / r_star_ratio
+
+
+def _ho_energy(e_ion, r_star_ratio):
+    """E in units of hbar*omega for an ion energy, via a_zero_energies_ho."""
+    model = EnergyDependentScatteringLength(_IdentityTable([e_ion]), r_star_ratio)
+    return model.a_zero_energies_ho()[0]
 
 
 class TestIonUnits:
     def test_e_star_ratio_half(self):
         # r = 0.5: E*/(hbar w) = 1/(2 * 0.25) = 2, so 1 hbar*w = 0.5 E*
-        units = IonUnits(r_star_ratio=0.5)
-        assert units.e_star_ratio == pytest.approx(2.0, rel=1e-14)
-        assert energy_ho_to_ion(1.0, units) == pytest.approx(0.5, rel=1e-14)
+        assert _ho_energy(1.0, 0.5) == pytest.approx(2.0, rel=1e-14)
+        assert _ion_energy(1.0, 0.5) == pytest.approx(0.5, rel=1e-14)
 
     def test_conversion_r1(self):
-        units = IonUnits(r_star_ratio=1.0)
-        assert energy_ho_to_ion(3.0, units) == pytest.approx(6.0, rel=1e-14)
+        assert _ion_energy(3.0, 1.0) == pytest.approx(6.0, rel=1e-14)
 
     def test_zero_maps_to_zero(self):
-        units = IonUnits(r_star_ratio=0.7)
-        assert energy_ho_to_ion(0.0, units) == 0.0
-        assert energy_ion_to_ho(0.0, units) == 0.0
+        assert _ion_energy(0.0, 0.7) == 0.0
+        assert _ho_energy(0.0, 0.7) == 0.0
 
     def test_round_trip(self):
-        units = IonUnits(r_star_ratio=0.31)
         for e in (-2.5, 1e-3, 1.0, 6.9):
-            back = energy_ion_to_ho(energy_ho_to_ion(e, units), units)
+            back = _ho_energy(_ion_energy(e, 0.31), 0.31)
             assert back == pytest.approx(e, rel=1e-14)
 
     def test_contact_model_has_no_ion_scale(self):
-        units = IonUnits(r_star_ratio=0.0)
-        with pytest.raises(UnitsError):
-            units.e_star_ratio
-        with pytest.raises(UnitsError):
-            energy_ho_to_ion(1.0, units)
-        with pytest.raises(UnitsError):
-            energy_ion_to_ho(1.0, units)
+        # R* = 0 is the contact model, which has no ion energy scale
+        with pytest.raises(ConfigError):
+            EnergyDependentScatteringLength(_IdentityTable(), 0.0)
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ConfigError):
-            IonUnits(r_star_ratio=-0.1)
+            EnergyDependentScatteringLength(_IdentityTable(), -0.1)
         with pytest.raises(ConfigError):
-            IonUnits(r_star_ratio=math.nan)
+            EnergyDependentScatteringLength(_IdentityTable(), math.nan)
 
 
 class TestValidate:
