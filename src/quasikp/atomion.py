@@ -12,6 +12,10 @@ march done in compiled code.  The solution is matched to free sinusoids a
 quarter wavelength apart, giving the phase shift delta0(k).  Tabulated phase
 shifts feed the energy-dependent scattering model of the waveguide
 dispersion through a(E) = -tan(delta0)/k.
+
+scipy supplies the banded solver and the table's interpolant.  It is
+imported on the first march and the first table, so the contact-only
+commands never load it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg.lapack import dtbtrs
 
 from ._roots import _ROOT_RTOL, _sign_changes, chandrupatla
 from .errors import (
@@ -133,6 +135,9 @@ def _numerov_integrate(g: np.ndarray, h: float) -> np.ndarray:
     step, in compiled code; the two agree up to rounding.  A zero on the
     diagonal t[2:] raises GridError.
     """
+    # scipy.linalg costs about 0.35 s to import: only the ion path pays it
+    from scipy.linalg.lapack import dtbtrs
+
     w = (h * h / 12.0) * g
     t = 1.0 + w
     a = 2.0 - 10.0 * w
@@ -330,6 +335,8 @@ class ScatteringLengthTable:
     """
 
     def __init__(self, b: float, energies, deltas):
+        from scipy.interpolate import PchipInterpolator
+
         e = np.asarray(energies, dtype=float)
         d = np.asarray(deltas, dtype=float)
         if e.ndim != 1 or e.shape != d.shape or e.size < 4:

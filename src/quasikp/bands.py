@@ -384,6 +384,30 @@ def solve_bands(config: ModelConfig, n_bands: int = 4, *,
     ]
 
 
+def band_window_floor(model, L: float) -> float:
+    """Lower end of a band search window for a constant-a lattice.
+
+    Starts at min(E_b - 0.5, 0.5), with E_b the single-impurity dimer.
+    Below the lowest threshold only closed channels remain, G(E, theta) >=
+    G(E, 0), and F(E, 0) falls monotonically to the bound band's minimum;
+    so F(e_lo, 0) > 0 certifies that no band reaches below e_lo.  At small
+    L the lattice binds far below the dimer, and e_lo walks down, doubling
+    its distance to the threshold, until the residual certifies it.  Every
+    step of the walk goes into one residual call.
+    """
+    if model.is_free:
+        return 0.5
+    steps = [min(single_impurity_bound_energy(model) - 0.5, 0.5)]
+    while steps[-1] > -1e12:
+        steps.append(1.0 - 2.0 * (1.0 - steps[-1]))
+    config = ModelConfig(lattice_spacing=L, scattering=model)
+    certified = np.flatnonzero(
+        dispersion_residual(np.array(steps), 0.0, config) > 0.0)
+    if not certified.size:
+        raise DomainError("band window search ran away")
+    return steps[certified[0]]
+
+
 def _lowest_band_window(model, L: float) -> tuple[float, float]:
     """Search window that brackets the lowest physically relevant band.
 
@@ -475,10 +499,8 @@ def band_edges_vs_a(a_values, L: float, *,
 
     def edges_for(a: float):
         model = ConstantScatteringLength(float(a))
-        e_b = 1.0 if model.is_free else single_impurity_bound_energy(model)
-        e_lo = min(e_b - 0.5, 0.5)
         config = ModelConfig(lattice_spacing=L, scattering=model,
-                             energy_window=(e_lo, e_hi))
+                             energy_window=(band_window_floor(model, L), e_hi))
         return _band_energies_batch([0.0, math.pi], config)
 
     rows: list[BandEdgeRow] = []

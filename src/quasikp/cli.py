@@ -27,6 +27,7 @@ from .atomion import (
 )
 from .bands import (
     band_edges_vs_a,
+    band_window_floor,
     effective_mass_for_model,
     effective_mass_vs_a,
     solve_bands,
@@ -47,7 +48,6 @@ from .quasi1d import (
     lambda_e,
     lambda_p,
     olshanii_constant,
-    single_impurity_bound_energy,
 )
 from .specfun import hurwitz_zeta_half
 from .units import ModelConfig
@@ -163,10 +163,7 @@ def cmd_bands(args) -> int:
             raise ConfigError([f"unknown model tag {tag!r}"])
 
     const_model = ConstantScatteringLength(a)
-    if const_model.is_free:
-        e_lo = 0.0
-    else:
-        e_lo = min(single_impurity_bound_energy(const_model) - 0.5, 0.5)
+    e_lo = band_window_floor(const_model, L)
 
     rows: list[tuple] = []
 

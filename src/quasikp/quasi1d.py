@@ -44,6 +44,8 @@ TOL_THRESHOLD = 1e-9
 TOL_POLE = 1e-9
 # largest channels x points block of the closed-channel sum
 _BLOCK_ELEMENTS = 2**14
+# largest work array of that sum (32 KB), for blocks of two or more points
+_SLICE_ELEMENTS = 2**12
 
 
 def olshanii_constant() -> float:
@@ -131,9 +133,35 @@ def lambda_p(E, theta, L: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _re_geometric(t, cos_t):
-    """Re[1/(1 - e^{x + i theta})] written in t = exp(-x); stable for any x > 0."""
-    return (t * t - t * cos_t) / (1.0 - 2.0 * t * cos_t + t * t)
+def _closed_terms(lo, hi, half_eps, cos_t, L, x, t, out, den):
+    """Rows n = lo..hi-1 of the closed-channel terms, computed into ``out``.
+
+    Each term is Re[1/(1 - e^{x + i theta})] / x with x = 2 sqrt(n - eps/2) L,
+    written in t = exp(-x) as (t^2 - t cos) / (1 - 2 t cos + t^2) / x, which
+    is stable for any x > 0.  The work arrays x, t, out and den hold hi - lo
+    rows.  Rows of n, eps/2 and cos(theta) are broadcast by copying them into
+    a work array: a ufunc that broadcasts an operand allocates a buffer.
+    """
+    t[...] = np.arange(lo, hi, dtype=float)[:, None]
+    x[...] = half_eps
+    np.subtract(t, x, out=x)
+    np.sqrt(x, out=x)
+    np.multiply(x, 2.0, out=x)
+    np.multiply(x, L, out=x)
+    np.negative(x, out=t)
+    np.exp(t, out=t)
+    den[...] = cos_t
+    np.multiply(t, 2.0, out=out)
+    np.multiply(out, den, out=den)
+    np.subtract(1.0, den, out=den)  # 1 - 2 t cos
+    out[...] = cos_t
+    np.multiply(t, out, out=out)  # t cos
+    np.multiply(t, t, out=t)
+    np.add(den, t, out=den)  # 1 - 2 t cos + t^2
+    np.subtract(t, out, out=out)  # t^2 - t cos
+    np.divide(out, den, out=out)
+    np.divide(out, x, out=out)
+    return out
 
 
 def lambda_e(E, theta, L: float, *, rel_tol: float = 1e-14,
@@ -146,6 +174,15 @@ def lambda_e(E, theta, L: float, *, rel_tol: float = 1e-14,
     sum is truncated once the newest term drops below rel_tol of the
     running total, with a hard cap that emits PrecisionWarning.  Terms
     are summed in blocks of at most _BLOCK_ELEMENTS (channels x points).
+
+    Each block is computed in place, into work arrays allocated once per
+    call and cut to row slices of at most about _SLICE_ELEMENTS.  Fresh
+    block-sized temporaries on every block would be large enough for the
+    allocator to map them, or to hand their pages back to the system, and
+    then every call faults the same memory in again.  The slices keep the
+    bits: numpy sums two or more columns row after row, so each slice
+    after the first carries the block's running sum in an extra first
+    row.  A single column is summed pairwise, so its block stays whole.
     """
     e_arr = np.asarray(E, dtype=float)
     th = _check_theta_l(theta, L)
@@ -153,22 +190,33 @@ def lambda_e(E, theta, L: float, *, rel_tol: float = 1e-14,
     arr = np.broadcast_to(e_arr, shape).ravel()
     _, eps = _branch_offsets(arr)
     cos_t = np.broadcast_to(np.cos(th), shape).ravel()
+    half_eps = 0.5 * eps
     total = np.zeros(arr.shape)
     n = 1
     cap = max(1, _BLOCK_ELEMENTS // max(arr.size, 1))
     block = min(16, cap)
+    rows = min(4096, cap, max(max_terms, 1))
+    if arr.size != 1:
+        rows = min(rows, max(1, _SLICE_ELEMENTS // max(arr.size, 1)))
+    x, t, den = (np.empty((rows, arr.size)) for _ in range(3))
+    terms = np.empty((rows + 1, arr.size))  # row 0: the running block sum
+    block_sum = np.empty(arr.size)
     converged = False
     while n <= max_terms:
-        ns = np.arange(n, min(n + block, max_terms + 1), dtype=float)
-        kn = 2.0 * np.sqrt(ns[:, None] - 0.5 * eps[None, :])
-        x = kn * L
-        terms = _re_geometric(np.exp(-x), cos_t) / x
-        total = total + terms.sum(axis=0)
-        last = np.abs(terms[-1])
+        stop = min(n + block, max_terms + 1)
+        for lo in range(n, stop, rows):
+            r = min(rows, stop - lo)
+            _closed_terms(lo, lo + r, half_eps, cos_t, L, x[:r], t[:r],
+                          terms[1:r + 1], den[:r])
+            if lo > n:
+                terms[0] = block_sum
+            np.sum(terms[int(lo == n):r + 1], axis=0, out=block_sum)
+        np.add(total, block_sum, out=total)
+        last = np.abs(terms[r])
         if np.all(last <= rel_tol * np.maximum(np.abs(total), 1e-300)):
             converged = True
             break
-        n += len(ns)
+        n = stop
         block = min(2 * block, 4096, cap)
     if not converged:
         warnings.warn(

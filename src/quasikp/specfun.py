@@ -25,6 +25,9 @@ _EM_TERMS = 16
 _EM_B2 = 1.0 / 24.0       # B2/2! * s            at s = 1/2
 _EM_B4 = -1.0 / 384.0     # B4/4! * s(s+1)(s+2)
 _EM_B6 = 1.0 / 1024.0     # B6/6! * (s)(s+1)...(s+4)
+# points per slice of the (points, _EM_TERMS) direct sum: its work array
+# stays at 64 KB, small enough for the allocator to reuse on every call
+_SLICE_POINTS = 512
 
 
 def hurwitz_zeta_half(q):
@@ -37,8 +40,22 @@ def hurwitz_zeta_half(q):
     arr = np.asarray(q, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise DomainError("hurwitz_zeta_half requires finite q > 0")
-    shifted = arr[..., np.newaxis] + np.arange(_EM_TERMS, dtype=float)
-    direct = np.sum(shifted**-0.5, axis=-1)
+    flat = arr.reshape(-1)
+    direct = np.empty(flat.shape)
+    # q + n for n < _EM_TERMS, slice by slice; both operands are copied to
+    # full shape first, because a ufunc that broadcasts allocates a buffer
+    rows = min(flat.size, _SLICE_POINTS)
+    offsets = np.empty((rows, _EM_TERMS))
+    offsets[...] = np.arange(_EM_TERMS, dtype=float)
+    shifted = np.empty((rows, _EM_TERMS))
+    for i in range(0, flat.size, _SLICE_POINTS):
+        seg = flat[i:i + _SLICE_POINTS]
+        part = shifted[:seg.size]
+        part[...] = seg[:, np.newaxis]
+        np.add(part, offsets[:seg.size], out=part)
+        np.power(part, -0.5, out=part)
+        np.sum(part, axis=-1, out=direct[i:i + _SLICE_POINTS])
+    direct = direct.reshape(arr.shape)
     w = arr + float(_EM_TERMS)
     tail = (
         -2.0 * np.sqrt(w)

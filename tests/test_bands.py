@@ -28,6 +28,7 @@ from quasikp import (
     effective_mass_vs_a,
     kp1d_bands,
     lattice_sum_pole_energies,
+    single_impurity_bound_energy,
     solve_bands,
     validate,
 )
@@ -578,3 +579,34 @@ class TestBandEdges:
     def test_rejects_zero_bands(self):
         with pytest.raises(DomainError):
             band_edges_vs_a([0.5], 5.0, n_bands=0)
+
+    def test_small_spacing_bound_edge_below_the_dimer_window(self):
+        # at L = 1 the lattice binds a = 1 at -1.0268, more than 0.5 below
+        # the dimer: a window from the dimer alone reported band 1's 2.0169
+        rows = band_edges_vs_a([1.0], 1.0, n_bands=2)
+        assert rows[0].e_theta0 == pytest.approx(-1.0267537158, abs=1e-9)
+        assert rows[1].e_theta0 == pytest.approx(2.0169292151, abs=1e-9)
+
+    def test_window_floor_stays_at_the_dimer_for_large_spacing(self):
+        for L in (1.5, 3.0, 5.0, 15.0):
+            for a in np.linspace(-2.0, 2.0, 41):
+                if a == 0.0:
+                    continue
+                model = ConstantScatteringLength(float(a))
+                dimer = single_impurity_bound_energy(model)
+                assert bands_mod.band_window_floor(model, L) == min(
+                    dimer - 0.5, 0.5)
+
+    @given(L=st.floats(0.3, 3.0), mag=st.floats(0.1, 2.0),
+           negative=st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_lowest_edges_match_a_wide_window(self, L, mag, negative):
+        a = -mag if negative else mag
+        row = band_edges_vs_a([a], L, n_bands=1)[0]
+        # band 0 is the root below the first theta = pi pole; the window
+        # reaches far below any bound band with |a| >= 0.1 and L >= 0.3
+        config = _config(a, L, energy_window=(
+            -1e4, 1.0 + 0.5 * (math.pi / L) ** 2 - 1e-6))
+        r0, rpi = bands_mod._band_energies_batch([0.0, math.pi], config)
+        assert row.e_theta0 == pytest.approx(r0[0], abs=1e-9)
+        assert row.e_thetapi == pytest.approx(rpi[0], abs=1e-9)

@@ -9,13 +9,20 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasikp
+from quasikp.bands import band_energies_at_theta
 from quasikp.cli import MODEL_TAGS, main
 from quasikp.kp1d import Kp1dParams, kp1d_bands
 from quasikp.quasi1d import ConstantScatteringLength, a1d_of_e
+from quasikp.units import ModelConfig
 
 
 def read_csv(path):
@@ -196,6 +203,26 @@ class TestBands:
         assert len(rows) == 2 * 4 * 21
         assert all(math.isfinite(float(r[3])) for r in rows)
 
+    # at five phases the band tracker's jump guard exceeds the band gaps,
+    # so it still warns of a crossing; band 0's values are the window's
+    @pytest.mark.filterwarnings("ignore:suspected band crossing")
+    def test_small_spacing_band_zero_is_the_lowest_root(self, tmp_path):
+        # at L = 0.7 the bound band lies 2.7 below the dimer's window; the
+        # tracker used to join pieces of two bands into band 0
+        out = tmp_path / "bands.csv"
+        rc = main(["bands", "--L", "0.7", "--a", "0.5", "--models",
+                   "constant-a", "--theta-points", "5", "--n-bands", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        band0 = [float(r[3]) for r in rows if r[2] == "0"]
+        config = ModelConfig(lattice_spacing=0.7,
+                             scattering=ConstantScatteringLength(0.5),
+                             energy_window=(-1e4, 7.0))
+        lowest = [band_energies_at_theta(th, config)[0]
+                  for th in np.linspace(0.0, math.pi, 5)]
+        np.testing.assert_allclose(band0, lowest, rtol=0.0, atol=1e-10)
+
     def test_deep_kp1d_bound_band(self, tmp_path):
         # 1 - C a is about -0.006 here, so g1d = -1/a1d(1) is about -239;
         # the first bisection midpoint of the bound root has a subnormal
@@ -322,6 +349,17 @@ class TestBandsVsA:
         assert len(rows) == 1
         assert float(rows[0][2]) < 1.0  # attractive coupling binds below ho
 
+    def test_small_spacing_keeps_the_bound_band(self, tmp_path):
+        # the README example's L = 1 table: band 0 at a = 1 used to read
+        # band 1's theta = 0 edge, 2.0169, with exit 0 and no flag
+        out = tmp_path / "edges.csv"
+        rc = main(["bands-vs-a", "--L", "1", "--a", "1", "--n-bands", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert [float(r[2]) for r in rows[:2]] == pytest.approx(
+            [-1.0267537158, 2.0169292151], abs=1e-9)
+
     def test_multiple_spacings_get_suffixed_files(self, tmp_path):
         out = tmp_path / "sub" / "edges.csv"
         out.parent.mkdir()
@@ -331,6 +369,39 @@ class TestBandsVsA:
         assert not out.exists()
         assert (tmp_path / "sub" / "edges_L1p5.csv").exists()
         assert (tmp_path / "sub" / "edges_L3.csv").exists()
+
+
+# ---------------------------------------------------------------- imports
+
+_IMPORT_CHILD = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    import quasikp.cli as cli
+
+    def scipy_loaded():
+        return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+    assert cli.main(["bands", "--models", "constant-a", "kp1d-reduced",
+                     "--L", "5", "--a", "0.5", "--theta-points", "3",
+                     "--n-bands", "2", "--out", "bands.csv"]) == 0
+    print("bands", scipy_loaded())
+    assert cli.main(["scatlen", "--b", "0.431", "--e-min", "0.3",
+                     "--energy-max", "2.0", "--points", "4",
+                     "--out", "scatlen.csv"]) == 0
+    print("scatlen", scipy_loaded())
+""")
+
+
+class TestImports:
+    def test_only_the_ion_path_loads_scipy(self, tmp_path):
+        src = str(Path(quasikp.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, src],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert "bands False" in lines
+        assert "scatlen True" in lines
 
 
 # ---------------------------------------------------------------- a1deff

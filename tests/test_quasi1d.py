@@ -1,6 +1,7 @@
 """Waveguide channel decomposition, lattice sums, and the dispersion residual."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from quasikp import (
     validate,
 )
 from quasikp.atomion import ScatteringLengthTable, a_of_b, invert_a_of_b
-from quasikp.quasi1d import TOL_THRESHOLD, _branch_offsets
+from quasikp.quasi1d import _BLOCK_ELEMENTS, TOL_THRESHOLD, _branch_offsets
 
 
 def _config(a, L, **kw):
@@ -185,6 +186,71 @@ class TestLambdaE:
         base = lambda_e(2.2, 0.7, 1.5)
         assert lambda_e(2.2, -0.7, 1.5) == pytest.approx(base, rel=1e-14)
         assert lambda_e(2.2, 0.7 - 2.0 * math.pi, 1.5) == pytest.approx(base, rel=1e-12)
+
+
+def _lambda_e_whole_blocks(E, theta, L, rel_tol=1e-14):
+    """The closed-channel sum with a fresh array per block (test oracle).
+
+    The same block schedule, operations and order as lambda_e, written as
+    plain whole-block expressions, so the in-place kernel must match it bit
+    for bit.
+    """
+    e_arr = np.asarray(E, dtype=float)
+    th = np.asarray(theta, dtype=float)
+    shape = np.broadcast_shapes(e_arr.shape, th.shape)
+    arr = np.broadcast_to(e_arr, shape).ravel()
+    _, eps = _branch_offsets(arr)
+    cos_t = np.broadcast_to(np.cos(th), shape).ravel()
+    total = np.zeros(arr.shape)
+    n = 1
+    cap = max(1, _BLOCK_ELEMENTS // max(arr.size, 1))
+    block = min(16, cap)
+    while True:
+        ns = np.arange(n, n + block, dtype=float)
+        x = 2.0 * np.sqrt(ns[:, None] - 0.5 * eps[None, :]) * L
+        t = np.exp(-x)
+        terms = (t * t - t * cos_t) / (1.0 - 2.0 * t * cos_t + t * t) / x
+        total = total + terms.sum(axis=0)
+        last = np.abs(terms[-1])
+        if np.all(last <= rel_tol * np.maximum(np.abs(total), 1e-300)):
+            return total.reshape(shape)
+        n += block
+        block = min(2 * block, 4096, cap)
+
+
+class TestLambdaEKernel:
+    @given(n=st.integers(1, 2100), L=st.floats(0.5, 12.0),
+           per_point=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, L=0.7, per_point=False, seed=1)
+    @example(n=2, L=0.5, per_point=True, seed=2)
+    @example(n=5000, L=3.0, per_point=True, seed=3)
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_whole_blocks(self, n, L, per_point, seed):
+        # slices of one row up to whole blocks, E < 1 and above thresholds
+        rng = np.random.default_rng(seed)
+        E = rng.uniform(-3.0, 7.0, n)
+        theta = rng.uniform(-math.pi, math.pi, n if per_point else None)
+        np.testing.assert_array_equal(lambda_e(E, theta, L),
+                                      _lambda_e_whole_blocks(E, theta, L))
+        if n == 1:
+            e0, th0 = float(E[0]), float(np.ravel(theta)[0])
+            assert lambda_e(e0, th0, L) == _lambda_e_whole_blocks(e0, th0, L)
+
+    def test_residual_batch_peak_memory(self):
+        # ten phases of 200 energies each, one phase per row as the band
+        # scan asks; whole-block temporaries peaked at 1.1 MB here
+        config = _config(0.5, 5.0)
+        E = np.linspace(0.2, 6.8, 2000).reshape(10, 200)
+        theta = np.linspace(0.1, 3.0, 10)[:, None]
+        dispersion_residual(E, theta, config)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dispersion_residual(E, theta, config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 384_000
 
 
 class TestLambdaEHApprox:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quasikp import DomainError, h_series, hurwitz_zeta_half
 from quasikp.greens_oracle import zeta_half_bruteforce
+from quasikp.specfun import _EM_B2, _EM_B4, _EM_B6
 
 
 class TestHurwitzZetaHalf:
@@ -54,6 +55,16 @@ class TestHurwitzZetaHalf:
                 hurwitz_zeta_half(bad)
         with pytest.raises(DomainError):
             hurwitz_zeta_half(np.array([1.0, -2.0]))
+
+    def test_slices_match_one_whole_sum(self):
+        # the direct sum runs over slices of points; the (points, terms)
+        # expression over the whole batch is the oracle, bit for bit
+        q = np.random.default_rng(3).uniform(1e-3, 50.0, (3, 450))
+        whole = np.sum((q[..., np.newaxis] + np.arange(16.0))**-0.5, axis=-1)
+        w = q + 16.0
+        whole = whole + (-2.0 * np.sqrt(w) + 0.5 * w**-0.5 + _EM_B2 * w**-1.5
+                         + _EM_B4 * w**-3.5 + _EM_B6 * w**-5.5)
+        np.testing.assert_array_equal(hurwitz_zeta_half(q), whole)
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=60, deadline=None)
