@@ -8,10 +8,13 @@ enter at b_n = 1/sqrt(4 n^2 - 1) where a(b) has a pole.
 The s-wave radial equation u'' + (k^2 - V) u = 0 is integrated with the
 Numerov three-term recurrence, solved for the whole grid at once as one
 banded lower-triangular system (LAPACK dtbtrs), which is the same forward
-march done in compiled code.  The solution is matched to free sinusoids a
-quarter wavelength apart, giving the phase shift delta0(k).  Tabulated phase
-shifts feed the energy-dependent scattering model of the waveguide
-dispersion through a(E) = -tan(delta0)/k.
+march done in compiled code.  The march stops at R = 30, where the local
+phase delta_R = atan2(k u, u') - kR is read; the potential beyond R adds
+the first-order variable-phase tail (1/k) int_R^inf sin^2(kr + delta_R)
+/ (r^2 + b^2)^2 dr, taken on a fixed Gauss-Legendre rule in t = R/r.
+This gives the phase shift delta0(k).  Tabulated phase shifts feed the
+energy-dependent scattering model of the waveguide dispersion through
+a(E) = -tan(delta0)/k.
 
 scipy supplies the banded solver and the table's interpolant.  It is
 imported on the first march and the first table, so the contact-only
@@ -20,6 +23,7 @@ commands never load it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +41,8 @@ from .errors import (
 )
 
 R_MAX_CAP = 5000.0
+R_BOX = 30.0  # end of the Numerov march; the tail beyond is analytic
+_TAIL_NODES = 400
 RESONANCE_A_CUT = 1e3
 
 
@@ -169,27 +175,40 @@ def _default_step(b: float, k: float) -> float:
     return h
 
 
-def _delta_on_grid(k: float, b: float, h: float, r_max: float) -> float:
+@functools.cache
+def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (0, 1), built on first use."""
+    t, w = np.polynomial.legendre.leggauss(_TAIL_NODES)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _tail_phase(k: float, b: float, r_box: float, delta_r: float) -> float:
+    """First-order variable-phase tail (1/k) int_R^inf sin^2(kr + delta_R) |V| dr.
+
+    The phase function obeys delta' = -(1/k) V sin^2(kr + delta).  Beyond
+    R = 30 it moves by less than 1e-4 rad for k >= 0.1 (2e-3 at k =
+    0.004), so it is held at its box-end value delta_R in the integrand:
+    phase shifts with the box end at R and at 2R agree to 1e-7 rad.  The
+    integral is taken in t = R/r, dr = (r^2/R) dt, on the fixed rule.
+    """
+    t, w = _tail_rule()
+    r = r_box / t
+    f = np.sin(k * r + delta_r) ** 2 * (r * r / r_box) / (r * r + b * b) ** 2
+    return float(w @ f) / k
+
+
+def _delta_on_grid(k: float, b: float, h: float, r_box: float = R_BOX) -> float:
+    """Phase shift from one march to r_box at step h, plus the tail."""
+    n = int(math.ceil(r_box / h))  # the box end R = n h
+    if n < 2:
+        raise GridError(f"step {h} too coarse for a box of {r_box}")
     pot = RegularizedPotential(b)
-    n_steps = int(math.ceil(r_max / h))
-    quarter = max(2, int(round(0.5 * math.pi / (k * h))))
-    if n_steps - quarter < 10:
-        raise GridError("matching points collide; grid too short for this k")
-    r = np.arange(n_steps + 1) * h
+    r = np.arange(n + 3) * h
     u = _numerov_integrate(k * k - pot(r), h)
-    i2 = n_steps
-    i1 = n_steps - quarter
-    u1, u2 = float(u[i1]), float(u[i2])
-    if u2 == 0.0:  # pragma: no cover - measure-zero grid coincidence
-        i2 -= 1
-        u2 = float(u[i2])
-    rho = u1 / u2
-    r1, r2 = i1 * h, i2 * h
-    num = rho * math.sin(k * r2) - math.sin(k * r1)
-    den = math.cos(k * r1) - rho * math.cos(k * r2)
-    if den == 0.0:
-        return 0.5 * math.pi
-    return math.atan(num / den)
+    # fourth-order central difference at R; u ~ sin(kr + delta_R) there
+    du = (u[n - 2] - 8.0 * u[n - 1] + 8.0 * u[n + 1] - u[n + 2]) / (12.0 * h)
+    delta_r = _wrap_half_pi(math.atan2(k * u[n], du) - k * r[n])
+    return _wrap_half_pi(delta_r + _tail_phase(k, b, r[n], delta_r))
 
 
 def _wrap_half_pi(x: float) -> float:
@@ -198,33 +217,33 @@ def _wrap_half_pi(x: float) -> float:
 
 
 def numerov_delta0(k: float, b: float, *, h: float | None = None,
-                   r_max: float | None = None, refine: bool = True,
-                   tol: float = 1e-6) -> float:
+                   refine: bool = True, tol: float = 1e-6) -> float:
     """s-wave phase shift delta0(k) modulo pi, in (-pi/2, pi/2].
 
-    The grid extends to where |V| < 1e-10 k^2 (at least several
-    wavelengths); the step resolves both the core and the free wave.
-    With refine=True the step is halved until two consecutive answers
-    agree to tol radians.
+    The Numerov march stops at R = R_BOX; the local phase there,
+    delta_R = atan2(k u, u') - kR, takes the rest of the potential from
+    the first-order variable-phase tail (F. Calogero, Variable Phase
+    Approach to Potential Scattering, 1967).  The step resolves both the
+    core and the free wave.  With refine=True the step is halved until
+    two consecutive answers agree to tol radians.  Momenta below 0.004,
+    where the -1/r^4 tail stays above 1e-10 k^2 out to R_MAX_CAP, raise
+    GridError: a = -tan(delta0)/k would magnify the march's error more than
+    250-fold.
     """
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError("momentum k must be > 0")
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError("regularization radius b must be > 0")
-    if r_max is None:
-        r_max = max(50.0, 20.0 / k, (1e10 / (k * k)) ** 0.25)
-    if r_max > R_MAX_CAP:
-        raise GridError(
-            f"required box {r_max:.0f} exceeds cap {R_MAX_CAP:.0f}; k too small"
-        )
+    if (1e10 / (k * k)) ** 0.25 > R_MAX_CAP:
+        raise GridError(f"k = {k!r} is below the smallest momentum 0.004")
     if h is None:
         h = _default_step(b, k)
-    delta = _delta_on_grid(k, b, h, r_max)
+    delta = _delta_on_grid(k, b, h)
     if not refine:
         return delta
     for _ in range(3):
         h *= 0.5
-        refined = _delta_on_grid(k, b, h, r_max)
+        refined = _delta_on_grid(k, b, h)
         if abs(_wrap_half_pi(refined - delta)) <= tol:
             return refined
         delta = refined
@@ -362,6 +381,19 @@ class ScatteringLengthTable:
             raise DomainError("need 0 < e_min < e_max")
         ks = np.linspace(math.sqrt(e_min), math.sqrt(e_max), n)
         return cls(b, ks * ks, _phase_shifts(b, ks, numerov_kw))
+
+    @classmethod
+    def for_comb(cls, b: float, r_star_ratio: float,
+                 e_max: float) -> "ScatteringLengthTable":
+        """The table a comb of ions needs for Bloch energies up to e_max.
+
+        r_star_ratio is R*/a_perp and e_max the top of the band window in
+        hbar omega_perp, which the ion sees at E* = 2 (R*/a_perp)^2 e_max.
+        The table spans E* = 0.01 to 1.25 times that, and at least to 0.5,
+        on 60 momenta.
+        """
+        top = max(0.5, 2.5 * r_star_ratio * r_star_ratio * e_max)
+        return cls.from_potential(b, e_min=0.01, e_max=top, n=60)
 
     @property
     def e_min(self) -> float:

@@ -181,10 +181,7 @@ def cmd_bands(args) -> int:
         if const_model.is_free:
             raise ConfigError(["energy-dependent bands need a != 0"])
         b = _resolve_b(opts, a0=a / rstar)
-        table = ScatteringLengthTable.from_potential(
-            b, e_min=0.01,
-            e_max=max(0.5, 2.5 * rstar * rstar * e_max), n=60,
-        )
+        table = ScatteringLengthTable.for_comb(b, rstar, e_max)
         en_model = EnergyDependentScatteringLength(table, rstar)
         config = ModelConfig(lattice_spacing=L, scattering=en_model,
                              theta_grid_size=theta_points,
@@ -328,8 +325,8 @@ def cmd_meff(args) -> int:
                 if a == 0.0:
                     raise ConfigError(["a = 0"])
                 b = invert_a_of_b(a / rstar, 1)
-                table = ScatteringLengthTable.from_potential(
-                    b, e_min=0.01, e_max=max(0.5, 10.0 * rstar * rstar), n=60)
+                # the table covers Bloch energies up to 4 hbar omega_perp
+                table = ScatteringLengthTable.for_comb(b, rstar, 4.0)
                 model = EnergyDependentScatteringLength(table, rstar)
                 fit = effective_mass_for_model(
                     model, L, theta_points=theta_points,

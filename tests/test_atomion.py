@@ -32,9 +32,11 @@ from quasikp import (
 )
 from quasikp import atomion
 from quasikp.atomion import (
+    R_BOX,
     _default_step,
     _delta_on_grid,
     _numerov_integrate,
+    _tail_phase,
     _wrap_half_pi,
 )
 
@@ -53,6 +55,36 @@ def _numerov_loop(g, h):
         u_prev = u_cur
         u_cur = u_next
     return np.asarray(us)
+
+
+def _full_box_delta0(k, b, tol=1e-6):
+    """Oracle: the phase shift from a march through the whole potential.
+
+    The grid runs to r_max = max(50, 20/k, (1e10/k^2)^(1/4)), where |V| <
+    1e-10 k^2, and u is matched to free sinusoids at r_max and a quarter
+    wave before it; the step is halved as numerov_delta0 halves it.
+    """
+    r_max = max(50.0, 20.0 / k, (1e10 / (k * k)) ** 0.25)
+
+    def on_grid(h):
+        n = int(math.ceil(r_max / h))
+        quarter = int(round(0.5 * math.pi / (k * h)))
+        r = np.arange(n + 1) * h
+        u = _numerov_integrate(k * k - RegularizedPotential(b)(r), h)
+        r1, r2 = (n - quarter) * h, n * h
+        rho = u[n - quarter] / u[n]
+        return math.atan((rho * math.sin(k * r2) - math.sin(k * r1))
+                         / (math.cos(k * r1) - rho * math.cos(k * r2)))
+
+    h = _default_step(b, k)
+    delta = on_grid(h)
+    for _ in range(3):
+        h *= 0.5
+        refined = on_grid(h)
+        if abs(_wrap_half_pi(refined - delta)) <= tol:
+            return refined
+        delta = refined
+    raise AssertionError(f"full-box oracle not converged at k={k}")
 
 
 class TestPotential:
@@ -156,7 +188,9 @@ class TestNumerov:
             def rhs(r, y):
                 return [y[1], -(k * k - pot(r)) * y[0]]
 
-            sol = solve_ivp(rhs, (1e-8, r_max), [0.0, 1.0], method="DOP853",
+            # from r = 0 exactly: u = 0 at r = 1e-8 would shift the origin,
+            # which moves the phase by 8.5e-7 rad at b = 0.2617, k = 0.1
+            sol = solve_ivp(rhs, (0.0, r_max), [0.0, 1.0], method="DOP853",
                             rtol=1e-11, atol=1e-13, dense_output=True)
             r1 = r_max - 0.5 * math.pi / k
             rho = sol.sol(r1)[0] / sol.sol(r_max)[0]
@@ -164,24 +198,53 @@ class TestNumerov:
             den = math.cos(k * r1) - rho * math.cos(k * r_max)
             return math.atan(num / den)
 
-        for k, b in ((0.3, 0.431), (0.8, 0.299), (1.5, 0.7)):
+        # b = 0.2617 is next to the second bound-state threshold, a(0) = -13
+        for k, b in ((0.3, 0.431), (0.8, 0.299), (1.5, 0.7), (0.1, 0.2617)):
             mine = numerov_delta0(k, b)
             ref = delta_ivp(k, b)
             assert abs(_wrap_half_pi(mine - ref)) < 1e-6, (k, b)
 
     def test_fourth_order_convergence(self):
-        # halving the step should cut the phase error ~16x
-        k, b, r_max = 0.7, 0.5, 60.0
-        ref = _delta_on_grid(k, b, 0.0005, r_max)
-        e1 = abs(_wrap_half_pi(_delta_on_grid(k, b, 0.016, r_max) - ref))
-        e2 = abs(_wrap_half_pi(_delta_on_grid(k, b, 0.008, r_max) - ref))
+        # halving the step should cut the phase error ~16x (measured 16.1)
+        k, b = 0.7, 0.5
+        ref = _delta_on_grid(k, b, 0.0005)
+        e1 = abs(_wrap_half_pi(_delta_on_grid(k, b, 0.016) - ref))
+        e2 = abs(_wrap_half_pi(_delta_on_grid(k, b, 0.008) - ref))
         assert 10.0 < e1 / e2 < 24.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.floats(0.1, 2.45), b=st.floats(0.27, 0.57))
+    def test_box_end_does_not_matter(self, k, b):
+        # the tail carries what the march leaves out: moving the box end
+        # from R to 2R on the step numerov_delta0 usually accepts moved
+        # the phase by at most 1.9e-8 rad in 400 random draws
+        h = 0.5 * _default_step(b, k)
+        near = _delta_on_grid(k, b, h, R_BOX)
+        far = _delta_on_grid(k, b, h, 2.0 * R_BOX)
+        assert abs(_wrap_half_pi(near - far)) < 5e-8
+
+    @pytest.mark.parametrize("k", (0.1, 1.0, 2.45))
+    def test_tail_rule_against_adaptive_quadrature(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        b, delta_r = 0.43, 0.7
+        f = lambda r: mpmath.sin(k * r + delta_r) ** 2 / (r * r + b * b) ** 2
+        # one period a piece, then the rest to infinity
+        period = math.pi / k
+        pieces = [R_BOX + i * period for i in range(200)] + [mpmath.inf]
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(f, pieces)) / k
+        # measured 4.5e-10, 8.3e-9 and 3.0e-9 rad
+        assert abs(_tail_phase(k, b, R_BOX, delta_r) - ref) < 3e-8
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             numerov_delta0(0.0, 0.431)
         with pytest.raises(DomainError):
             numerov_delta0(0.5, -1.0)
+
+    def test_step_coarser_than_box(self):
+        with pytest.raises(GridError):
+            numerov_delta0(0.5, 0.431, h=40.0, refine=False)
 
     def test_tiny_k_exceeds_box_cap(self):
         with pytest.raises(GridError):
@@ -191,6 +254,17 @@ class TestNumerov:
         with pytest.raises(GridError):
             numerov_delta0(0.5, 0.431, h=0.01, tol=1e-15)
 
+    @pytest.mark.parametrize("b", (0.299, 0.431, 0.5178))
+    def test_short_box_matches_full_box_on_cli_tables(self, b):
+        # the momenta of the ion tables (E* <= 0.5) of the bands and meff
+        # goldens and README examples; measured within 2.4e-8 rad of the
+        # full-box oracle for b in 0.27-0.57
+        table = ScatteringLengthTable.for_comb(b, 0.15, 4.0)
+        ks = np.sqrt(table.energies)
+        diff = [_wrap_half_pi(d - _full_box_delta0(float(k), b))
+                for k, d in zip(ks, table.deltas)]
+        assert np.max(np.abs(diff)) < 5e-8
+
 
 class TestNumerovMarch:
     """The banded triangular solve against the step-by-step march."""
@@ -198,10 +272,10 @@ class TestNumerovMarch:
     @pytest.mark.parametrize("b", (0.27, 0.35, 0.431, 0.57))
     @pytest.mark.parametrize("k", (0.1, 0.5, 1.0))
     def test_matches_step_by_step_march(self, b, k):
-        # the grid numerov_delta0 uses at its default step
+        # the grid numerov_delta0 uses at its default step: the box end R
+        # and the two points past it that its derivative reads
         h = _default_step(b, k)
-        r_max = max(50.0, 20.0 / k, (1e10 / (k * k)) ** 0.25)
-        r = np.arange(int(math.ceil(r_max / h)) + 1) * h
+        r = np.arange(int(math.ceil(R_BOX / h)) + 3) * h
         g = k * k - RegularizedPotential(b)(r)
         u = _numerov_integrate(g, h)
         ref = _numerov_loop(g, h)
@@ -229,11 +303,10 @@ class TestNumerovMarch:
             _numerov_integrate(g, 1.0)
 
     def test_table_phase_shifts_match_step_by_step_march(self, monkeypatch):
-        # the k range of the meff table at R* = 0.15, where grids are longest
-        kw = dict(e_min=0.01, e_max=0.5, n=60)
-        table = ScatteringLengthTable.from_potential(0.431, **kw)
+        # the meff table at R* = 0.15
+        table = ScatteringLengthTable.for_comb(0.431, 0.15, 4.0)
         monkeypatch.setattr(atomion, "_numerov_integrate", _numerov_loop)
-        ref = ScatteringLengthTable.from_potential(0.431, **kw)
+        ref = ScatteringLengthTable.for_comb(0.431, 0.15, 4.0)
         diff = [_wrap_half_pi(d - r) for d, r in zip(table.deltas, ref.deltas)]
         assert np.max(np.abs(diff)) < 1e-9
 
@@ -360,6 +433,16 @@ class TestScatteringLengthTable:
         assert table.energies == pytest.approx(es)
         with pytest.raises(DomainError):
             a_of_e_table(0.431, energies=[-1.0, 0.5])
+
+    def test_comb_table_windows(self):
+        # the ion sees Bloch energies up to e_max at E* = 2 R*^2 e_max; the
+        # table reaches 1.25 times that, and at least E* = 0.5
+        for rstar, e_max, top in ((0.15, 4.0, 0.5), (0.3, 4.0, 0.9),
+                                  (0.3, 7.0, 1.575)):
+            table = ScatteringLengthTable.for_comb(0.431, rstar, e_max)
+            assert table.energies.size == 60
+            assert table.e_min == pytest.approx(0.01, rel=1e-14)
+            assert table.e_max == pytest.approx(top, rel=1e-14)
 
     def test_constructor_validation(self):
         with pytest.raises(DomainError):
