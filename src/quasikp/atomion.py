@@ -16,9 +16,10 @@ This gives the phase shift delta0(k).  Tabulated phase shifts feed the
 energy-dependent scattering model of the waveguide dispersion through
 a(E) = -tan(delta0)/k.
 
-scipy supplies the banded solver and the table's interpolant.  It is
-imported on the first march and the first table, so the contact-only
-commands never load it.
+The table interpolates delta0 in k with a Floater-Hormann barycentric
+rational interpolant written in numpy.  scipy supplies only the banded
+solver, imported on the first march, so the contact-only commands never
+load scipy.
 """
 
 from __future__ import annotations
@@ -344,18 +345,39 @@ def a_zero_extrapolated(b: float, k_values=(0.02, 0.04, 0.08, 0.16)) -> float:
     return float(coef[0])
 
 
+FH_DEGREE = 5  # blending degree of the table's Floater-Hormann interpolant
+
+
+def _floater_hormann_weights(x: np.ndarray, d: int) -> np.ndarray:
+    """Barycentric weights of the Floater-Hormann interpolant of degree d.
+
+    The interpolant blends the degree-d polynomials through every d + 1
+    consecutive nodes; node k gets the weight sum_i (-1)^i / prod_{j != k}
+    (x_k - x_j) over the blocks i..i+d that hold it (M. S. Floater and
+    K. Hormann, Numer. Math. 107, 315 (2007)).  It has no real poles for
+    any data.
+    """
+    w = np.zeros(x.size)
+    for i in range(x.size - d):
+        blk = x[i:i + d + 1]
+        diff = blk[:, None] - blk[None, :]
+        np.fill_diagonal(diff, 1.0)
+        w[i:i + d + 1] += (-1.0) ** i / np.prod(diff, axis=1)
+    return w
+
+
 class ScatteringLengthTable:
-    """Monotone-in-E interpolation of tabulated s-wave phase shifts.
+    """Interpolation in k = sqrt(E) of tabulated s-wave phase shifts.
 
     Phase shifts are unwrapped modulo pi so delta(E) is continuous, then
-    interpolated shape-preservingly.  Derived quantities: a(E) with its
-    resonance poles flagged, the smooth 1/a(E), the energies where a(E)
-    crosses zero, and the resonance positions themselves.
+    interpolated in k with a Floater-Hormann rational interpolant of
+    degree min(5, n - 1), which reproduces every sample exactly.
+    Derived quantities: a(E) with its resonance poles flagged, the smooth
+    1/a(E), the energies where a(E) crosses zero, and the resonance
+    positions themselves.
     """
 
     def __init__(self, b: float, energies, deltas):
-        from scipy.interpolate import PchipInterpolator
-
         e = np.asarray(energies, dtype=float)
         d = np.asarray(deltas, dtype=float)
         if e.ndim != 1 or e.shape != d.shape or e.size < 4:
@@ -368,11 +390,32 @@ class ScatteringLengthTable:
         self.b = float(b)
         self.energies = e
         self.deltas = d
-        self._spline = PchipInterpolator(e, d, extrapolate=False)
+        self._k = np.sqrt(e)
+        w = _floater_hormann_weights(self._k, min(FH_DEGREE, e.size - 1))
+        # numerator and denominator of the barycentric sum in one product
+        self._num_den = np.column_stack([w * d, w])
         with np.errstate(divide="ignore", over="ignore"):
-            a_grid = -np.tan(d) / np.sqrt(e)
+            a_grid = -np.tan(d) / self._k
         self._resonance_intervals = self._find_runs(np.abs(a_grid) > RESONANCE_A_CUT)
         self.a_zero_energies = self._zeros_of(np.sin).tolist()
+
+    def _interp(self, e) -> np.ndarray:
+        """delta0 at energies e inside the table range, in one barycentric pass.
+
+        At a node the weight over (k - k_node) is infinite, so there the
+        sample itself is returned.
+        """
+        e = np.asarray(e, dtype=float)
+        c = np.sqrt(e).reshape(-1, 1) - self._k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.reciprocal(c, out=c)
+            num, den = (c @ self._num_den).T
+            out = num / den
+        # a node makes inf / inf: only those rows are searched for it
+        hit = np.flatnonzero(np.isnan(out))
+        row, node = np.nonzero(np.isinf(c[hit]))
+        out[hit[row]] = self.deltas[node]
+        return out.reshape(e.shape)
 
     @classmethod
     def from_potential(cls, b: float, *, e_min: float = 0.01, e_max: float = 6.0,
@@ -390,10 +433,10 @@ class ScatteringLengthTable:
         r_star_ratio is R*/a_perp and e_max the top of the band window in
         hbar omega_perp, which the ion sees at E* = 2 (R*/a_perp)^2 e_max.
         The table spans E* = 0.01 to 1.25 times that, and at least to 0.5,
-        on 60 momenta.
+        on 32 momenta.
         """
         top = max(0.5, 2.5 * r_star_ratio * r_star_ratio * e_max)
-        return cls.from_potential(b, e_min=0.01, e_max=top, n=60)
+        return cls.from_potential(b, e_min=0.01, e_max=top, n=32)
 
     @property
     def e_min(self) -> float:
@@ -431,7 +474,7 @@ class ScatteringLengthTable:
         e = self.energies
         v = fn(self.deltas)
         i = _sign_changes(v)
-        found = chandrupatla(lambda x: fn(self._spline(x)), e[i], e[i + 1],
+        found = chandrupatla(lambda x: fn(self._interp(x)), e[i], e[i + 1],
                              v[i], v[i + 1], atol=0.0, rtol=_ROOT_RTOL)
         return np.sort(np.concatenate([e[v == 0.0], found]))
 
@@ -444,7 +487,7 @@ class ScatteringLengthTable:
     def delta_of_e(self, e):
         arr = np.asarray(e, dtype=float)
         self._check_range(arr)
-        out = self._spline(arr)
+        out = self._interp(arr)
         return float(out) if arr.ndim == 0 else out
 
     def a_of_e(self, e, *, allow_resonant: bool = False):
@@ -457,14 +500,14 @@ class ScatteringLengthTable:
                         f"a(E) is resonant on [{lo:.4g}, {hi:.4g}] E*"
                     )
         with np.errstate(divide="ignore", over="ignore"):
-            out = -np.tan(self._spline(arr)) / np.sqrt(arr)
+            out = -np.tan(self._interp(arr)) / np.sqrt(arr)
         return float(out) if arr.ndim == 0 else out
 
     def inv_a_of_e(self, e):
         """1/a(E) = -sqrt(E) cot(delta0); smooth through the a(E) poles."""
         arr = np.asarray(e, dtype=float)
         self._check_range(arr)
-        d = self._spline(arr)
+        d = self._interp(arr)
         with np.errstate(divide="ignore"):
             out = -np.sqrt(arr) * np.cos(d) / np.sin(d)
         return float(out) if arr.ndim == 0 else out

@@ -408,20 +408,28 @@ def band_window_floor(model, L: float) -> float:
     return steps[certified[0]]
 
 
+def lowest_band_top(L: float) -> float:
+    """Upper end of the window that brackets the lowest scattering band."""
+    return 1.0 + 2.0 * (math.pi / L) ** 2
+
+
 def _lowest_band_window(model, L: float) -> tuple[float, float]:
     """Search window that brackets the lowest physically relevant band.
 
     On the repulsive side (1/a > 0 at threshold) the deep two-body dimer
     band is skipped and the window brackets the lowest scattering band; on
-    the attractive side the bound band itself is the lowest band.
+    the attractive side the bound band itself is the lowest band.  For a
+    constant a that window starts at the certified band_window_floor; an
+    energy-dependent a(E) starts it, uncertified, at E_b - 0.5.
     """
     if getattr(model, "is_free", False):
-        return 0.9, 1.0 + 2.0 * (math.pi / L) ** 2
+        return 0.9, lowest_band_top(L)
     if model.inv_a_of(1.0) > 0.0:
         e_b = single_impurity_bound_energy(model)
-        return max(0.5 * (e_b + 1.0), 0.55), 1.0 + 2.0 * (math.pi / L) ** 2
-    e_b = single_impurity_bound_energy(model)
-    return e_b - 0.5, 1.0 - 1e-7
+        return max(0.5 * (e_b + 1.0), 0.55), lowest_band_top(L)
+    if isinstance(model, ConstantScatteringLength):
+        return band_window_floor(model, L), 1.0 - 1e-7
+    return single_impurity_bound_energy(model) - 0.5, 1.0 - 1e-7
 
 
 def effective_mass(band: Band, fit_fraction: float = 0.5, *,

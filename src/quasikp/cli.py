@@ -30,6 +30,7 @@ from .bands import (
     band_window_floor,
     effective_mass_for_model,
     effective_mass_vs_a,
+    lowest_band_top,
     solve_bands,
 )
 from .errors import ConfigError, QuasiKpError
@@ -326,7 +327,9 @@ def cmd_meff(args) -> int:
                     raise ConfigError(["a = 0"])
                 b = invert_a_of_b(a / rstar, 1)
                 # the table covers Bloch energies up to 4 hbar omega_perp
-                table = ScatteringLengthTable.for_comb(b, rstar, 4.0)
+                # and the top of the band window
+                table = ScatteringLengthTable.for_comb(
+                    b, rstar, max(4.0, lowest_band_top(L)))
                 model = EnergyDependentScatteringLength(table, rstar)
                 fit = effective_mass_for_model(
                     model, L, theta_points=theta_points,

@@ -367,7 +367,45 @@ class TestScatteringLengthTable:
 
     def test_interpolant_exact_at_nodes(self, table):
         for e, d in zip(table.energies, table.deltas):
-            assert table.delta_of_e(float(e)) == pytest.approx(float(d), abs=1e-14)
+            assert table.delta_of_e(float(e)) == float(d)
+        # nodes mixed with off-grid points in one call: the samples come
+        # back as they are, and nothing is NaN
+        es = np.sort(np.concatenate([table.energies, table.energies[:-1] + 0.01]))
+        got = table.delta_of_e(es)
+        assert np.all(np.isfinite(got))
+        on_node = np.isin(es, table.energies)
+        assert np.array_equal(got[on_node], table.deltas)
+        assert np.all(np.isfinite(table.inv_a_of_e(table.energies)))
+
+    def test_five_samples_interpolate_a_quartic_in_k(self):
+        # with n = 5 the degree is n - 1 = 4: the interpolant is the
+        # polynomial through the samples, so a quartic in k comes back
+        ks = np.array([0.3, 0.5, 0.6, 0.9, 1.2])
+        quartic = lambda k: 0.2 - 0.7 * k + 0.4 * k**2 - 0.3 * k**3 + 0.1 * k**4
+        table = ScatteringLengthTable(0.431, ks * ks, quartic(ks))
+        kq = np.linspace(0.3, 1.2, 23)
+        np.testing.assert_allclose(table.delta_of_e(kq * kq), quartic(kq),
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("a, rstar, bound", (
+        (0.6, 0.15, 2e-6),   # the meff golden
+        (0.5, 0.1, 2e-6),    # the bands golden
+        (0.1, 0.3, 2e-6),    # a benchmark corner: the widest window
+        # a / R* = 20 (the README sweep's a = 2 at R* = 0.1 reads the
+        # same): delta falls steeply near threshold, and the first
+        # interval misses by 5.7e-6; the others stay within 1.5e-6
+        (1.0, 0.05, 1e-5),
+    ))
+    def test_comb_table_matches_numerov_off_grid(self, a, rstar, bound):
+        # every midpoint in k between samples, first interval included;
+        # the 60-sample PCHIP in E missed these by 1.1e-5 to 1.6e-4 rad
+        b = invert_a_of_b(a / rstar, 1)
+        table = ScatteringLengthTable.for_comb(b, rstar, 4.0)
+        k = np.sqrt(table.energies)
+        mid = 0.5 * (k[1:] + k[:-1])
+        diff = [_wrap_half_pi(table.delta_of_e(float(q * q))
+                              - numerov_delta0(float(q), b)) for q in mid]
+        assert np.max(np.abs(diff)) < bound
 
     def test_refinement_stable_off_pole(self, table):
         finer = ScatteringLengthTable.from_potential(0.431, e_min=0.2, e_max=3.0, n=59)
@@ -415,16 +453,16 @@ class TestScatteringLengthTable:
 
     def test_find_resonance_skips_a_zero(self):
         # delta crosses pi near E = 2 (a zero of a(E)) and 3 pi / 2 near
-        # E = 3.57 (the pole); the interpolant puts delta(2.5) at pi + 0.82,
+        # E = 3.12 (the pole); the interpolant puts delta(2.5) at pi + 0.95,
         # where |cot delta| < 1, which a |cot| filter mistakes for a pole
         table = ScatteringLengthTable(
             0.4, [1.0, 2.0, 3.0, 4.0, 5.0],
             [math.pi - 0.5, math.pi - 0.001, math.pi + 1.5, math.pi + 1.6,
              math.pi + 1.65],
         )
-        assert table.a_zero_energies == [pytest.approx(2.0013, abs=1e-4)]
+        assert table.a_zero_energies == [pytest.approx(2.0005, abs=1e-4)]
         pole = find_resonance(table)
-        assert pole == pytest.approx(3.5689, abs=1e-4)
+        assert pole == pytest.approx(3.1210, abs=1e-4)
         assert math.cos(table.delta_of_e(pole)) == pytest.approx(0.0, abs=1e-12)
 
     def test_explicit_energy_grid(self):
@@ -440,7 +478,7 @@ class TestScatteringLengthTable:
         for rstar, e_max, top in ((0.15, 4.0, 0.5), (0.3, 4.0, 0.9),
                                   (0.3, 7.0, 1.575)):
             table = ScatteringLengthTable.for_comb(0.431, rstar, e_max)
-            assert table.energies.size == 60
+            assert table.energies.size == 32
             assert table.e_min == pytest.approx(0.01, rel=1e-14)
             assert table.e_max == pytest.approx(top, rel=1e-14)
 

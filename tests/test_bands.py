@@ -489,6 +489,17 @@ class TestEffectiveMass:
         assert fit.eps_b < 1.0
         assert 0.0 < fit.inv_mass_ratio < 1.0
 
+    def test_attractive_window_reaches_small_spacing_band_bottom(self):
+        # at L = 1 the lattice binds below the dimer: E_b - 0.5 = 0.090 sat
+        # above the band bottom (-0.03), and 33 of 101 points were found;
+        # from the certified floor (-0.82) the band is found up to the
+        # window's top below the first threshold, all of the fit window
+        # but theta = pi/2
+        fit = effective_mass_for_model(ConstantScatteringLength(-2.0), 1.0)
+        assert fit.n_points == 50
+        assert fit.eps_b < 0.0
+        assert fit.inv_mass_ratio == pytest.approx(0.867655, abs=1e-6)
+
     def test_fit_fraction_stability(self):
         for a in (-1.0, 0.5, 1.0):
             m = ConstantScatteringLength(a)

@@ -381,6 +381,9 @@ _IMPORT_CHILD = textwrap.dedent("""
     def scipy_loaded():
         return any(name.split(".")[0] == "scipy" for name in sys.modules)
 
+    def interpolate_loaded():
+        return "scipy.interpolate" in sys.modules
+
     assert cli.main(["bands", "--models", "constant-a", "kp1d-reduced",
                      "--L", "5", "--a", "0.5", "--theta-points", "3",
                      "--n-bands", "2", "--out", "bands.csv"]) == 0
@@ -388,7 +391,10 @@ _IMPORT_CHILD = textwrap.dedent("""
     assert cli.main(["scatlen", "--b", "0.431", "--e-min", "0.3",
                      "--energy-max", "2.0", "--points", "4",
                      "--out", "scatlen.csv"]) == 0
-    print("scatlen", scipy_loaded())
+    print("scatlen", scipy_loaded(), interpolate_loaded())
+    assert cli.main(["meff", "--L", "5", "--a", "0.6", "--rstar", "0.15",
+                     "--theta-points", "41", "--out", "meff.csv"]) == 0
+    print("meff --rstar", interpolate_loaded())
 """)
 
 
@@ -401,7 +407,9 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert "bands False" in lines
-        assert "scatlen True" in lines
+        # the ion path loads scipy.linalg for the march, never scipy.interpolate
+        assert "scatlen True False" in lines
+        assert "meff --rstar False" in lines
 
 
 # ---------------------------------------------------------------- a1deff
@@ -520,6 +528,18 @@ class TestMeff:
         # the abscissa is a evaluated at the band bottom, not the bare a
         assert float(iondep[0]) != pytest.approx(0.3, abs=1e-6)
         assert math.isfinite(float(iondep[3]))
+
+    def test_ion_table_covers_small_spacing_band_window(self, tmp_path):
+        # at L = 1.5 the repulsive-side window reaches 1 + 2 (pi/L)^2 = 9.8
+        # hbar omega_perp; a table built only up to 4 failed the row
+        out = tmp_path / "meff.csv"
+        rc = main(["meff", "--L", "1.5", "--a", "0.5", "--rstar", "0.3",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        iondep = rows[1]
+        assert iondep[2] == "energy-dependent" and iondep[4] == ""
+        assert float(iondep[3]) == pytest.approx(0.84902, abs=1e-4)
 
     def test_nonpositive_rstar_rejected(self, tmp_path, capsys):
         rc = main(["meff", "--a", "0.3", "--rstar", "0.0",
