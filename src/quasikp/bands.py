@@ -1,24 +1,34 @@
-"""Bloch bands of the impurity lattice: solving, tracking, effective mass.
+"""Bloch bands of the impurity lattice: solving, indexing, effective mass.
 
 At Bloch phase theta the band energies are the zeros of the dispersion
-residual from :mod:`quasikp.quasi1d`.  The residual is smooth except at
-transverse thresholds E = 1 + 2n, at poles of the propagating lattice sum
-(where some open channel has cos(k_n L) = cos(theta)), and, for energy
-dependent models, where a(E) crosses zero.  The search window is split at
-all of those points and each piece is scanned on a dense grid.  All the
-phases of a request are solved as one batch: the residual runs on the
-grids of whole pieces, several pieces and phases per call and at most
+residual F(E, theta) = G(E, theta) - 1/(2 a(E)) from :mod:`quasikp.quasi1d`.
+The poles of G are the free levels E = 1 + 2n + K^2/2 with K L = 2 pi j
++/- theta, counted with multiplicity: the poles of the propagating lattice
+sum and, at theta = 0, the thresholds E = 1 + 2n.  G is a Herglotz
+function of E (S. Albeverio et al., Solvable Models in Quantum Mechanics,
+2nd ed., 2005; B. Simon, Spectral analysis of rank one perturbations,
+1995): it falls strictly from +inf to -inf between consecutive poles.  So
+for a constant a each pole-to-pole interval holds exactly one root, and
+band n is the n-th root at every theta.
+
+The search window is split at the poles, at the transverse thresholds
+(where the closed-channel sums are singular) and, for energy dependent
+models, where a(E) crosses zero; each piece is scanned on a dense grid.
+All the phases of a request are solved as one batch: the residual runs on
+the grids of whole pieces, several pieces and phases per call and at most
 _SLICE_POINTS points (grid points on a pole come back NaN and are
-dropped), and the sign changes of all pieces and phases are refined in
-one call of Chandrupatla's method (:func:`quasikp._roots.chandrupatla`),
-each bracket carrying its own theta.  Node states sin(K z) with
-K L = 2 pi j +/- theta vanish on every impurity and are eigenstates at any
-coupling, but they sit exactly on lattice-sum poles where the residual
-cannot see them: at theta = 0 and theta = pi they are injected by hand.
+dropped), and the sign changes of all pieces and phases are refined in one
+call of Chandrupatla's method (:func:`quasikp._roots.chandrupatla`), each
+bracket carrying its own theta.  An interval between poles too close to
+scan holds its root at its midpoint: at theta = 0 and pi these are the
+exact double poles, whose root is the node state sin(K z), which vanishes
+on every impurity.  For a constant a the root count of every interval is
+checked; a wrong count raises RootError, so no root is dropped silently.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +43,7 @@ from .errors import (
     RootError,
 )
 from .quasi1d import (
+    TOL_POLE,
     ConstantScatteringLength,
     dispersion_residual,
     single_impurity_bound_energy,
@@ -42,11 +53,8 @@ from .units import ModelConfig, validate
 GUARD = 1e-8
 SCAN_POINTS = 200
 BISECT_TOL = 1e-12
-_DEDUP_TOL = 1e-9
 # largest residual call of the band scan (whole pieces of SCAN_POINTS)
 _SLICE_POINTS = 2048
-# minimum allowed jump per theta step, before the slope-based guards kick in
-_JUMP_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,6 @@ class Band:
     energies: np.ndarray
     lattice_spacing: float
     provenance: str = "constant-a"
-    crossing_suspected: bool = False
 
     @property
     def edges(self) -> tuple[float, float]:
@@ -157,25 +164,47 @@ def lattice_sum_pole_energies(theta: float, L: float, e_min: float,
     return _dedup_sorted([e for e, knl in levels if knl > 1e-12], 1e-13)
 
 
+def _end_offset(e: float, L: float) -> float:
+    """Distance of a scan piece's end from its breakpoint at energy e.
+
+    GUARD, or more where lambda_p's pole mask, TOL_POLE in the phase k_n L,
+    is wider in energy: about TOL_POLE k_n / L, with k_n <= sqrt(2 (e - 1)).
+    """
+    return max(GUARD, 4.0 * TOL_POLE * math.sqrt(2.0 * max(e - 1.0, 0.0)) / L)
+
+
+def _pieces(breaks: list[float], L: float) -> list[tuple[float, float] | None]:
+    """Ends of the scan piece between each pair of sorted breakpoints.
+
+    Each end sits _end_offset inside its breakpoint; None where the two
+    ends are not more than GUARD apart.
+    """
+    out = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        lo, hi = lo + _end_offset(lo, L), hi - _end_offset(hi, L)
+        out.append((lo, hi) if hi - lo > GUARD else None)
+    return out
+
+
 def band_energies_at_theta(theta: float, config: ModelConfig, *,
                            e_min: float | None = None,
-                           e_max: float | None = None,
-                           scan_points: int = SCAN_POINTS) -> np.ndarray:
+                           e_max: float | None = None) -> np.ndarray:
     """All band energies at one Bloch phase, sorted ascending."""
-    return _band_energies_batch([theta], config, e_min=e_min, e_max=e_max,
-                                scan_points=scan_points)[0]
+    return _band_energies_batch([theta], config, e_min=e_min, e_max=e_max)[0]
 
 
 def _band_energies_batch(thetas, config: ModelConfig, *,
                          e_min: float | None = None,
-                         e_max: float | None = None,
-                         scan_points: int = SCAN_POINTS) -> list[np.ndarray]:
+                         e_max: float | None = None) -> list[np.ndarray]:
     """Band energies at every Bloch phase of ``thetas``, one array each.
 
     Every phase gets its own breakpoints and scan pieces.  The residual
     runs on whole pieces, at most _SLICE_POINTS points per call, and one
     call may mix phases; the brackets of every phase are then refined in
-    one Chandrupatla call.
+    one Chandrupatla call.  For a constant a the roots are certified: every
+    interval between consecutive poles holds exactly one root, and each of
+    the two intervals cut by the window's ends at most one.  Any other
+    count raises RootError naming the phase and the interval.
     """
     model = config.scattering
     L = float(config.lattice_spacing)
@@ -186,10 +215,11 @@ def _band_energies_batch(thetas, config: ModelConfig, *,
     if not e_min < e_max:
         raise DomainError("need e_min < e_max")
     ths = [_fold_theta(th) for th in thetas]
+    levels = [sorted(e for e, _ in _free_levels(th, L, e_min, e_max))
+              for th in ths]
 
     if getattr(model, "is_free", False):
-        return [np.array(sorted(e for e, _ in _free_levels(th, L, e_min, e_max)))
-                for th in ths]
+        return [np.array(poles) for poles in levels]
 
     fixed = [e_min, e_max] + _thresholds_between(e_min, e_max)
     zeros_fn = getattr(model, "a_zero_energies_ho", None)
@@ -199,30 +229,28 @@ def _band_energies_batch(thetas, config: ModelConfig, *,
     starts: list[float] = []
     stops: list[float] = []
     owners: list[int] = []  # the phase of each piece
-    for i, th in enumerate(ths):
-        breaks = _dedup_sorted(
-            fixed + lattice_sum_pole_energies(th, L, e_min, e_max), 1e-13)
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            if (hi - GUARD) - (lo + GUARD) > GUARD:
-                starts.append(lo + GUARD)
-                stops.append(hi - GUARD)
+    for i, poles in enumerate(levels):
+        for piece in _pieces(_dedup_sorted(fixed + poles, 1e-13), L):
+            if piece is not None:
+                starts.append(piece[0])
+                stops.append(piece[1])
                 owners.append(i)
 
     roots: list[list[float]] = [[] for _ in ths]
     owners = np.asarray(owners, dtype=int)
     phase = np.asarray(ths)[owners]  # per piece
     brackets = []
-    per_call = max(1, _SLICE_POINTS // scan_points)  # whole pieces per call
+    per_call = max(1, _SLICE_POINTS // SCAN_POINTS)  # whole pieces per call
     for p0 in range(0, owners.size, per_call):
         pcs = slice(p0, p0 + per_call)
-        es = np.linspace(starts[pcs], stops[pcs], scan_points, axis=1)
+        es = np.linspace(starts[pcs], stops[pcs], SCAN_POINTS, axis=1)
         fs = dispersion_residual(es, phase[pcs, None], config).ravel()
         # the residual is NaN where the grid touches a lattice-sum pole and
         # infinite where an energy-dependent a(E) crosses zero; only finite
         # points are kept, and a piece needs two of them
         keep = np.isfinite(fs)
         es, fs = es.ravel()[keep], fs[keep]
-        piece = p0 + np.flatnonzero(keep) // scan_points
+        piece = p0 + np.flatnonzero(keep) // SCAN_POINTS
         zero = np.flatnonzero(fs == 0.0)
         zero = zero[np.bincount(piece - p0)[piece[zero] - p0] >= 2]
         for p, e in zip(piece[zero], es[zero]):
@@ -241,119 +269,48 @@ def _band_energies_batch(thetas, config: ModelConfig, *,
             roots[i].append(float(r))
 
     out = []
-    for th, rs in zip(ths, roots):
-        if abs(math.sin(th)) < 1e-12:
-            # node states are invisible to the residual: inject them
-            rs += lattice_sum_pole_energies(th, L, e_min, e_max)
-        out.append(np.array(_dedup_sorted(rs, _DEDUP_TOL)))
+    for th, poles, rs in zip(ths, levels, roots):
+        # the root of an interval between poles too narrow to scan (the
+        # double poles at theta = 0 and pi among them) is its midpoint
+        narrow = [piece is None for piece in _pieces(poles, L)]
+        if isinstance(model, ConstantScatteringLength):
+            _certify(th, [e_min] + poles + [e_max], rs, narrow)
+        rs += [0.5 * (lo + hi)
+               for lo, hi, thin in zip(poles[:-1], poles[1:], narrow) if thin]
+        out.append(np.array(sorted(rs)))
     return out
 
 
-def _last_two_finite(values: list[float]):
-    i1 = None
-    i0 = None
-    for i in range(len(values) - 1, -1, -1):
-        if math.isfinite(values[i]):
-            if i1 is None:
-                i1 = i
-            else:
-                i0 = i
-                break
-    return i0, i1
+def _certify(theta: float, ends: list[float], roots: list[float],
+             narrow: list[bool]) -> None:
+    """Raise RootError unless each interval between poles holds one root.
 
-
-def _group_tracks(theta_grid: np.ndarray, roots_list: list[np.ndarray],
-                  L: float):
-    """Group per-theta roots into continuous tracks.
-
-    Each track is extended by the root closest to its linear prediction,
-    subject to a jump guard of 10x the local secant; fresh tracks without a
-    secant get a guard from the steepest possible band slope, |dE/dtheta|
-    <= K_max / L at E = 1 + K^2/2.  Leftover roots start new tracks.  A
-    root contested by two tracks marks both as a suspected band crossing.
+    ``ends`` are the sorted poles with the window's ends around them, and
+    ``roots`` the roots the scan found.  A ``narrow`` interval between
+    poles holds its midpoint instead.  The two intervals cut by the
+    window's ends hold at most one root.
     """
-    n_grid = len(theta_grid)
-    tracks: list[list[float]] = [[float(e)] for e in roots_list[0]]
-    flagged: set[int] = set()
-
-    top = max((float(np.max(r)) for r in roots_list if len(r)), default=1.0)
-    step = float(np.max(np.diff(theta_grid))) if n_grid > 1 else 0.0
-    slope_cap = math.sqrt(2.0 * max(top - 1.0, 0.125)) / L
-    floor = max(_JUMP_FLOOR, 1.5 * slope_cap * step)
-
-    for it in range(1, n_grid):
-        roots = [float(r) for r in roots_list[it]]
-        preds: list[tuple[float, float] | None] = []
-        for tr in tracks:
-            i0, i1 = _last_two_finite(tr)
-            if i1 is None or it - i1 > 3:
-                preds.append(None)  # dormant: stopped matching
-                continue
-            if i0 is None:
-                slope = 0.0
-                pred = tr[i1]
-            else:
-                slope = (tr[i1] - tr[i0]) / (i1 - i0)
-                pred = tr[i1] + slope * (it - i1)
-            preds.append((pred, max(10.0 * abs(slope), floor)))
-
-        candidates = []
-        best_root: dict[int, int] = {}
-        for ti, p in enumerate(preds):
-            if p is None:
-                continue
-            pred, guard = p
-            dists = [(abs(r - pred), ri) for ri, r in enumerate(roots)]
-            dists.sort()
-            for d, ri in dists:
-                if d <= guard:
-                    candidates.append((d, ti, ri))
-            if dists and dists[0][0] <= guard:
-                best_root[ti] = dists[0][1]
-
-        contested = {}
-        for ti, ri in best_root.items():
-            contested.setdefault(ri, []).append(ti)
-
-        candidates.sort()
-        used_t: set[int] = set()
-        used_r: set[int] = set()
-        assign: dict[int, int] = {}
-        for _, ti, ri in candidates:
-            if ti in used_t or ri in used_r:
-                continue
-            assign[ti] = ri
-            used_t.add(ti)
-            used_r.add(ri)
-
-        # a contested root marks a crossing unless every contender still
-        # received an equally good (degenerate) root
-        for ri, tis in contested.items():
-            if len(tis) <= 1:
-                continue
-            val = roots[ri]
-            for ti in tis:
-                got = assign.get(ti)
-                if got is None or abs(roots[got] - val) > 1e-9 * max(1.0, abs(val)):
-                    flagged.update(tis)
-                    break
-
-        for ti, tr in enumerate(tracks):
-            tr.append(roots[assign[ti]] if ti in assign else math.nan)
-        for ri, r in enumerate(roots):
-            if ri not in used_r:
-                tracks.append([math.nan] * it + [r])
-
-    arrays = [np.array(tr) for tr in tracks]
-    keep = [i for i, tr in enumerate(arrays) if np.isfinite(tr).any()]
-    order = sorted(keep, key=lambda i: np.nanmin(arrays[i]))
-    return [arrays[i] for i in order], [i in flagged for i in order]
+    counts = [0] * (len(ends) - 1)
+    for k, thin in enumerate(narrow, start=1):
+        counts[k] = int(thin)
+    for r in roots:
+        counts[bisect.bisect_right(ends, r) - 1] += 1
+    last = len(counts) - 1
+    for k, n in enumerate(counts):
+        if n > 1 or (n == 0 and 0 < k < last):
+            raise RootError(
+                f"{n} roots at theta={theta!r} in ({ends[k]!r}, "
+                f"{ends[k + 1]!r}); each interval between poles holds one")
 
 
 def solve_bands(config: ModelConfig, n_bands: int = 4, *,
                 theta_grid=None, e_min: float | None = None,
                 e_max: float | None = None) -> list[Band]:
-    """Solve the lowest ``n_bands`` Bloch bands over a theta grid on [0, pi]."""
+    """The lowest ``n_bands`` Bloch bands over a theta grid on [0, pi].
+
+    Band n is the n-th root in the window at each theta, NaN where the
+    window holds fewer roots.
+    """
     config = validate(config)
     if n_bands < 1:
         raise DomainError("n_bands must be >= 1")
@@ -364,23 +321,20 @@ def solve_bands(config: ModelConfig, n_bands: int = 4, *,
 
     roots_list = _band_energies_batch(theta_grid, config, e_min=e_min,
                                       e_max=e_max)
-    tracks, flags = _group_tracks(theta_grid, roots_list,
-                                  config.lattice_spacing)
-    if len(tracks) < n_bands:
+    n_found = max((r.size for r in roots_list), default=0)
+    if n_found < n_bands:
         warnings.warn(
-            f"found {len(tracks)} bands, {n_bands} requested; widen the window",
+            f"found {n_found} bands, {n_bands} requested; widen the window",
             RuntimeWarning, stacklevel=2,
         )
-    if any(flags[:n_bands]):
-        warnings.warn("suspected band crossing; both branches kept",
-                      RuntimeWarning, stacklevel=2)
 
     tag = _model_tag(config.scattering)
     return [
-        Band(index=i, thetas=theta_grid, energies=tracks[i],
-             lattice_spacing=config.lattice_spacing, provenance=tag,
-             crossing_suspected=flags[i])
-        for i in range(min(n_bands, len(tracks)))
+        Band(index=i, thetas=theta_grid,
+             energies=np.array([r[i] if i < r.size else math.nan
+                                for r in roots_list]),
+             lattice_spacing=config.lattice_spacing, provenance=tag)
+        for i in range(min(n_bands, n_found))
     ]
 
 
@@ -414,21 +368,18 @@ def lowest_band_top(L: float) -> float:
 
 
 def _lowest_band_window(model, L: float) -> tuple[float, float]:
-    """Search window that brackets the lowest physically relevant band.
+    """Search window whose lowest root is the lowest relevant band.
 
-    On the repulsive side (1/a > 0 at threshold) the deep two-body dimer
-    band is skipped and the window brackets the lowest scattering band; on
-    the attractive side the bound band itself is the lowest band.  For a
-    constant a that window starts at the certified band_window_floor; an
-    energy-dependent a(E) starts it, uncertified, at E_b - 0.5.
+    For the free model and an energy-dependent a(E).  On the repulsive
+    side (1/a > 0 at threshold) the window starts above the deep two-body
+    dimer band and brackets the lowest scattering band; on the attractive
+    side it starts, uncertified, at E_b - 0.5 and brackets the bound band.
     """
     if getattr(model, "is_free", False):
         return 0.9, lowest_band_top(L)
     if model.inv_a_of(1.0) > 0.0:
         e_b = single_impurity_bound_energy(model)
         return max(0.5 * (e_b + 1.0), 0.55), lowest_band_top(L)
-    if isinstance(model, ConstantScatteringLength):
-        return band_window_floor(model, L), 1.0 - 1e-7
     return single_impurity_bound_energy(model) - 0.5, 1.0 - 1e-7
 
 
@@ -472,14 +423,26 @@ def effective_mass(band: Band, fit_fraction: float = 0.5, *,
 
 def effective_mass_for_model(model, L: float, *, theta_points: int = 101,
                              fit_fraction: float = 0.5) -> EffectiveMassFit:
-    """Effective mass of the lowest band (dimer band skipped for 1/a > 0)."""
-    window = _lowest_band_window(model, L)
+    """Effective mass of the lowest band (dimer band skipped for 1/a > 0).
+
+    For a constant a the window starts at the certified band_window_floor,
+    and the band is picked by index: 1 on the repulsive side, where index 0
+    is the dimer band, and 0 on the attractive side, below the first theta
+    = pi pole.
+    """
+    index = 0
+    if isinstance(model, ConstantScatteringLength) and not model.is_free:
+        index = int(model.a > 0.0)
+        top = lowest_band_top(L) if index else 1.0 + 0.5 * (math.pi / L) ** 2
+        window = (band_window_floor(model, L), top)
+    else:
+        window = _lowest_band_window(model, L)
     config = ModelConfig(lattice_spacing=L, scattering=model,
                          theta_grid_size=theta_points, energy_window=window)
-    bands = solve_bands(config, n_bands=1)
-    if not bands:
+    bands = solve_bands(config, n_bands=index + 1)
+    if len(bands) <= index:
         raise RootError("no band found in the effective-mass window")
-    return effective_mass(bands[0], fit_fraction)
+    return effective_mass(bands[index], fit_fraction)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Band solving, continuity tracking, edges, and effective-mass fits."""
+"""Band solving, the root certificate, edges, and effective-mass fits."""
 
 import functools
 import math
@@ -23,6 +23,7 @@ from quasikp import (
     a1d_of_e,
     band_edges_vs_a,
     band_energies_at_theta,
+    dispersion_residual,
     effective_mass,
     effective_mass_for_model,
     effective_mass_vs_a,
@@ -74,35 +75,94 @@ def _ion_model(a0):
     return EnergyDependentScatteringLength(table, r_star_ratio=0.3)
 
 
-def _free_levels(theta, L, e_max, count):
-    """Analytic folded free-particle levels 1 + ((2 pi j +- theta)/L)^2 / 2."""
-    levels = []
-    j = 0
-    while True:
-        done = True
-        for kl in (2.0 * math.pi * j + theta, 2.0 * math.pi * (j + 1) - theta):
-            e = 1.0 + 0.5 * (kl / L) ** 2
-            if e < e_max:
-                levels.append(e)
-                done = False
-        if done and j > 0:
-            break
-        j += 1
-    return sorted(levels)[:count]
+def _poles(theta, L, e_lo, e_hi):
+    """Free levels 1 + 2n + ((2 pi j +- theta)/L)^2 / 2 in (e_lo, e_hi).
+
+    The poles of the lattice kernel with their multiplicity: at theta = 0
+    the K = 0 levels (the thresholds) once, every other level twice.
+    """
+    th = abs(math.remainder(theta, 2.0 * math.pi))
+    out = []
+    n = 0
+    while 1.0 + 2.0 * n < e_hi:
+        j = 0
+        while 1.0 + 2.0 * n + 0.5 * ((2.0 * math.pi * j - th) / L) ** 2 < e_hi:
+            kls = [2.0 * math.pi * j + th] + ([2.0 * math.pi * j - th] if j else [])
+            out += [e for e in (1.0 + 2.0 * n + 0.5 * (kl / L) ** 2 for kl in kls)
+                    if e_lo < e < e_hi]
+            j += 1
+        n += 1
+    return sorted(out)
+
+
+def _dense_scan(config, theta, e_lo, e_hi, points=60):
+    """Sign changes of the residual in each interval between poles.
+
+    Returns the interval ends (window ends around the poles) and, per
+    interval, the brackets [e, e'] of consecutive finite points of opposite
+    sign.  Each interval gets a uniform grid and grids clustered
+    geometrically toward both ends, from 1e-9 out; points within 1e-8
+    below a threshold, where the closed-channel sums are singular, are
+    left out.  Intervals narrower than 1e-6 are not scanned (None).
+    """
+    ends = [e_lo] + _poles(theta, config.lattice_spacing, e_lo, e_hi) + [e_hi]
+    thresholds = np.arange(1.0, e_hi + 2.0, 2.0)
+    out = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        w = hi - lo
+        if w < 1e-6:
+            out.append(None)
+            continue
+        d = np.geomspace(1e-9, 0.5 * w, points)
+        es = np.unique(np.concatenate(
+            [np.linspace(lo, hi, points)[1:-1], lo + d, hi - d]))
+        below = np.searchsorted(thresholds, es)
+        es = es[(es > lo) & (es < hi)
+                & ~((thresholds[below] - es < 1e-8) & (thresholds[below] > es))]
+        fs = dispersion_residual(es, np.full(es.shape, theta), config)
+        ok = np.isfinite(fs)
+        es, fs = es[ok], fs[ok]
+        flips = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
+        out.append([(es[i], es[i + 1]) for i in flips])
+    return ends, out
+
+
+def _assert_matches_dense_scan(config, theta, e_lo, e_hi):
+    """One root per interval between poles, and every dense sign change found.
+
+    The two intervals cut by the window's ends hold at most one root.
+    """
+    roots = band_energies_at_theta(theta, config, e_min=e_lo, e_max=e_hi)
+    ends, scans = _dense_scan(config, theta, e_lo, e_hi)
+    counted = 0
+    for k, (lo, hi, flips) in enumerate(zip(ends[:-1], ends[1:], scans)):
+        complete = 0 < k < len(scans) - 1
+        if flips is None:
+            inside = roots[(roots >= lo) & (roots <= hi)]
+            assert inside.size == complete, (theta, lo, hi, inside)
+        else:
+            inside = roots[(roots > lo) & (roots < hi)]
+            assert inside.size == len(flips), (theta, lo, hi, inside, flips)
+            assert len(flips) == 1 if complete else len(flips) <= 1
+            for a, b in flips:
+                assert np.any((roots >= a) & (roots <= b)), (theta, a, b)
+        counted += inside.size
+    assert counted == roots.size
 
 
 class TestFreeBands:
     def test_exact_against_analytic(self):
         L = 5.0
         cfg = _config(0.0, L, theta_grid_size=21, energy_window=(0.9, 3.0 - 1e-6))
-        # bands 1 and 2 touch at theta = 0 (exact free doublet), so the
-        # tracker honestly reports a suspected crossing there
-        with pytest.warns(RuntimeWarning, match="crossing"):
+        # bands 1 and 2 touch at theta = 0 (exact free doublet); band n is
+        # the n-th level, so the doublet needs no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             bands = solve_bands(cfg, n_bands=3)
         assert len(bands) >= 3
         for it, th in enumerate(bands[0].thetas):
             got = sorted(b.energies[it] for b in bands[:3])
-            ref = _free_levels(float(th), L, 3.0 - 1e-6, 3)
+            ref = _poles(float(th), L, 0.9, 3.0 - 1e-6)[:3]
             assert got == pytest.approx(ref, abs=1e-10)
 
     def test_degeneracy_multiplicity_at_zone_edges(self):
@@ -137,17 +197,14 @@ class TestRootFinding:
         assert shifted == pytest.approx(base, rel=1e-10)
 
     def test_scan_density_completeness(self):
-        # doubling the scan density must not reveal new roots
+        # a dense scan of each interval between poles reveals no new roots
         rng = np.random.default_rng(42)
         for _ in range(3):
             a = float(rng.uniform(0.2, 1.5)) * (1 if rng.random() < 0.5 else -1)
             L = float(rng.uniform(0.8, 3.0))
             th = float(rng.uniform(0.3, 2.8))
             cfg = _config(a, L, energy_window=(-1.0, 6.9))
-            base = band_energies_at_theta(th, cfg, scan_points=200)
-            dense = band_energies_at_theta(th, cfg, scan_points=400)
-            assert base.size == dense.size, (a, L, th)
-            assert base == pytest.approx(dense, abs=1e-8)
+            _assert_matches_dense_scan(cfg, th, -1.0, 6.9)
 
     def test_node_state_present_for_every_coupling(self):
         # at theta = j*pi the Bloch wave can vanish on every impurity, so
@@ -170,6 +227,66 @@ class TestRootFinding:
         assert roots.size > 0
         for e in roots:
             assert abs(dispersion_residual(float(e), 1.1, cfg)) < 1e-7
+
+
+class TestRootCertificate:
+    """Each interval between poles of the lattice kernel holds one root."""
+
+    @given(L=st.floats(0.3, 12.0), mag=st.floats(1e-4, 5.0),
+           negative=st.booleans(),
+           theta=st.sampled_from([0.0, math.pi]) | st.floats(0.01, math.pi - 0.01))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_a_dense_scan(self, L, mag, negative, theta):
+        model = ConstantScatteringLength(-mag if negative else mag)
+        e_lo = bands_mod.band_window_floor(model, L)
+        e_hi = min(1.0 + 0.5 * (4.0 * math.pi / L) ** 2 + 2.0, 12.0)
+        cfg = validate(ModelConfig(lattice_spacing=L, scattering=model))
+        _assert_matches_dense_scan(cfg, theta, e_lo, e_hi)
+
+    # at small L and weak coupling, ends at a fixed 1e-8 from a pole fell in
+    # lambda_p's pole mask (TOL_POLE in phase, about TOL_POLE k / L in
+    # energy), came back NaN, and 21 roots next to poles were dropped
+    SMALL_L = (0.5610240125942737, -0.0018170659386869744, 1.0437422541712569)
+
+    def _small_l_case(self):
+        L, a, theta = self.SMALL_L
+        model = ConstantScatteringLength(a)
+        cfg = validate(ModelConfig(lattice_spacing=L, scattering=model,
+                                   energy_window=(
+            bands_mod.band_window_floor(model, L),
+            1.0 + 0.5 * (4.0 * math.pi / L) ** 2 + 2.0)))
+        return cfg, theta
+
+    def test_small_spacing_weak_coupling_keeps_roots_next_to_poles(self):
+        cfg, theta = self._small_l_case()
+        lo, hi = cfg.energy_window
+        roots = band_energies_at_theta(theta, cfg)
+        ends = [lo] + _poles(theta, cfg.lattice_spacing, lo, hi) + [hi]
+        counts = np.bincount(np.searchsorted(ends, roots) - 1,
+                             minlength=len(ends) - 1)
+        assert counts.size == 337
+        assert np.all(counts[1:-1] == 1) and counts[0] == 1
+
+    def test_a_lost_root_raises(self, monkeypatch):
+        cfg, theta = self._small_l_case()
+        monkeypatch.setattr(bands_mod, "_end_offset",
+                            lambda e, L: bands_mod.GUARD)
+        with pytest.raises(RootError, match=f"0 roots at theta={theta!r}"):
+            band_energies_at_theta(theta, cfg)
+
+    def test_zone_edge_band_is_the_continuous_root(self):
+        # contact-bands benchmark request (seed 7, request 0): band 3 at
+        # theta = pi is the node level 3 + (pi/L)^2/2, the 4th eigenvalue;
+        # a tracker wrote the 5th there (3.28162)
+        L, a = 4.390082389037209, -0.24974081797092454
+        model = ConstantScatteringLength(a)
+        cfg = _config(a, L, theta_grid_size=21, energy_window=(
+            bands_mod.band_window_floor(model, L), 7.0))
+        band3 = solve_bands(cfg, n_bands=4)[3]
+        node = 3.0 + 0.5 * (math.pi / L) ** 2
+        assert band3.energies[-1] == pytest.approx(node, rel=1e-14)
+        near = band_energies_at_theta(math.pi - 1e-3, cfg)[3]
+        assert abs(near - band3.energies[-1]) < 1e-5
 
 
 class TestCrossSolverAgreement:
@@ -492,13 +609,19 @@ class TestEffectiveMass:
     def test_attractive_window_reaches_small_spacing_band_bottom(self):
         # at L = 1 the lattice binds below the dimer: E_b - 0.5 = 0.090 sat
         # above the band bottom (-0.03), and 33 of 101 points were found;
-        # from the certified floor (-0.82) the band is found up to the
-        # window's top below the first threshold, all of the fit window
-        # but theta = pi/2
+        # from the certified floor (-0.82) up to the first theta = pi pole
+        # the band is found on all of the fit window, theta = pi/2 (E =
+        # 1.0015, above the threshold) included
         fit = effective_mass_for_model(ConstantScatteringLength(-2.0), 1.0)
-        assert fit.n_points == 50
+        assert fit.n_points == 51
         assert fit.eps_b < 0.0
-        assert fit.inv_mass_ratio == pytest.approx(0.867655, abs=1e-6)
+        # the same fit on the lowest root of a wide window at each theta
+        cfg = _config(-2.0, 1.0, energy_window=(-10.0, 6.0))
+        thetas = np.linspace(0.0, math.pi, 101)
+        lowest = [r[0] for r in bands_mod._band_energies_batch(thetas, cfg)]
+        ref = effective_mass(Band(0, thetas, np.array(lowest), 1.0))
+        assert fit.inv_mass_ratio == pytest.approx(ref.inv_mass_ratio, rel=1e-9)
+        assert fit.inv_mass_ratio == pytest.approx(0.8676209, abs=1e-6)
 
     def test_fit_fraction_stability(self):
         for a in (-1.0, 0.5, 1.0):

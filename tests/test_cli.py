@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,16 +204,17 @@ class TestBands:
         assert len(rows) == 2 * 4 * 21
         assert all(math.isfinite(float(r[3])) for r in rows)
 
-    # at five phases the band tracker's jump guard exceeds the band gaps,
-    # so it still warns of a crossing; band 0's values are the window's
-    @pytest.mark.filterwarnings("ignore:suspected band crossing")
     def test_small_spacing_band_zero_is_the_lowest_root(self, tmp_path):
-        # at L = 0.7 the bound band lies 2.7 below the dimer's window; the
-        # tracker used to join pieces of two bands into band 0
+        # at L = 0.7 the bound band lies 2.7 below the dimer's window; a
+        # band tracker used to join pieces of two bands into band 0, and
+        # at five phases it warned of a crossing and left band 1 NaN at
+        # theta = pi/2
         out = tmp_path / "bands.csv"
-        rc = main(["bands", "--L", "0.7", "--a", "0.5", "--models",
-                   "constant-a", "--theta-points", "5", "--n-bands", "2",
-                   "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["bands", "--L", "0.7", "--a", "0.5", "--models",
+                       "constant-a", "--theta-points", "5", "--n-bands", "2",
+                       "--out", str(out)])
         assert rc == 0
         _, rows = read_csv(out)
         band0 = [float(r[3]) for r in rows if r[2] == "0"]
@@ -222,6 +224,9 @@ class TestBands:
         lowest = [band_energies_at_theta(th, config)[0]
                   for th in np.linspace(0.0, math.pi, 5)]
         np.testing.assert_allclose(band0, lowest, rtol=0.0, atol=1e-10)
+        band1 = {float(r[1]): float(r[3]) for r in rows if r[2] == "1"}
+        assert band1[0.5 * math.pi] == pytest.approx(4.241659091449017,
+                                                     rel=1e-12)
 
     def test_deep_kp1d_bound_band(self, tmp_path):
         # 1 - C a is about -0.006 here, so g1d = -1/a1d(1) is about -239;
@@ -540,6 +545,18 @@ class TestMeff:
         iondep = rows[1]
         assert iondep[2] == "energy-dependent" and iondep[4] == ""
         assert float(iondep[3]) == pytest.approx(0.84902, abs=1e-4)
+
+    def test_small_spacing_repulsive_rows_are_not_failed(self, tmp_path):
+        # at L = 1 the dimer band overlaps the first scattering band in
+        # energy: no window separates them, but the band index does
+        out = tmp_path / "meff.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["meff", "--L", "1", "--a", "1", "2", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert [r[4] for r in rows] == ["", ""]
+        assert all(math.isfinite(float(r[3])) for r in rows)
 
     def test_nonpositive_rstar_rejected(self, tmp_path, capsys):
         rc = main(["meff", "--a", "0.3", "--rstar", "0.0",
